@@ -42,7 +42,6 @@ from .labeling import (
     RulLabelSpec,
     WindowedDataset,
     piecewise_rul_labels,
-    piecewise_standardize,
     pooled_standardizer,
     sliding_windows,
     trailing_window,
@@ -63,7 +62,6 @@ from .lstm import (
 )
 from .metrics import (
     EvalReport,
-    evaluate_dataset,
     evaluate_predictions,
     format_metrics_row,
     rmse,

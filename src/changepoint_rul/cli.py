@@ -25,7 +25,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out-dir", help="directory for reports and artifacts")
     parser.add_argument("--seed", type=int, help="RNG seed for training and shuffling")
     parser.add_argument("--subset", type=int, help="use only the first N engines")
-    parser.add_argument("--threads", type=int, help="worker threads for per-engine fitting")
 
 
 def _build_config(args):
@@ -36,7 +35,6 @@ def _build_config(args):
         ("out_dir", "out_dir"),
         ("seed", "seed"),
         ("subset", "subset"),
-        ("threads", "threads"),
     ):
         value = getattr(args, flag, None)
         if value is not None:

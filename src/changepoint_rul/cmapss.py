@@ -8,6 +8,7 @@ contains trailing spaces).
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -90,9 +91,9 @@ class RulTarget:
 def parse_cmapss_file(text: str, dataset_id: str = "FD001") -> list[EngineSeries]:
     """Parse a train/test log into per-engine series, grouped and validated.
 
-    Raises ParseError with the offending row number for malformed rows, and
-    IntegrityError naming the unit when its cycles are not the contiguous
-    range 1..k_max.
+    Raises ParseError with the offending row number for malformed or
+    non-finite rows, and IntegrityError naming the unit when its cycles are
+    not the contiguous range 1..k_max.
     """
     _check_dataset_id(dataset_id)
     units: dict[int, list] = {}
@@ -108,14 +109,16 @@ def parse_cmapss_file(text: str, dataset_id: str = "FD001") -> list[EngineSeries
             values = [float(v) for v in fields]
         except ValueError as exc:
             raise ParseError(f"row {lineno}: non-numeric field ({exc})") from None
-        unit = int(values[0])
-        if unit <= 0 or values[0] != unit:
+        if not (values[0] > 0 and values[0].is_integer()):
             raise ParseError(f"row {lineno}: unit id must be a positive integer")
+        unit = int(values[0])
         units.setdefault(unit, []).append(values[1:])
 
     engines = []
     for unit in sorted(units):
         rows = np.asarray(units[unit], dtype=float)
+        if not np.isfinite(rows).all():
+            raise ParseError(f"row {_first_non_finite_row(text)}: non-finite value")
         order = np.argsort(rows[:, 0], kind="stable")
         rows = rows[order]
         cycles = rows[:, 0]
@@ -136,6 +139,13 @@ def parse_cmapss_file(text: str, dataset_id: str = "FD001") -> list[EngineSeries
             )
         )
     return engines
+
+
+def _first_non_finite_row(text: str) -> int:
+    """Line number of the first row holding nan or inf; the error path only."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not all(math.isfinite(float(v)) for v in line.split()):
+            return lineno
 
 
 def format_engine_rows(series: EngineSeries) -> str:
@@ -207,21 +217,6 @@ def load_rul_targets(text: str, dataset_id: str = "FD001", expected_count: int |
     return targets
 
 
-def write_selected_csv(engines, selection: SensorSelection, path) -> None:
-    """Export (unit, cycle, kept sensor columns) as a normalized CSV."""
-    header = ["unit", "cycle"] + [f"sensor_{i}" for i in selection.kept_indices]
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for series in engines:
-            sel = series
-            if series.n_channels == N_SENSORS:
-                sel = apply_selection(series, selection)
-            for i, cycle in enumerate(sel.cycles):
-                row = [str(sel.unit_id), str(int(cycle))]
-                row += [repr(float(v)) for v in sel.sensors[i]]
-                fh.write(",".join(row) + "\n")
-
-
 def train_file(data_dir, dataset_id: str) -> str:
     return os.path.join(data_dir, f"train_{dataset_id}.txt")
 
@@ -232,14 +227,3 @@ def test_file(data_dir, dataset_id: str) -> str:
 
 def rul_file(data_dir, dataset_id: str) -> str:
     return os.path.join(data_dir, f"RUL_{dataset_id}.txt")
-
-
-def load_dataset(data_dir, dataset_id: str):
-    """Load (train engines, test engines, RUL targets) for one dataset."""
-    with open(train_file(data_dir, dataset_id)) as fh:
-        train = parse_cmapss_file(fh.read(), dataset_id)
-    with open(test_file(data_dir, dataset_id)) as fh:
-        test = parse_cmapss_file(fh.read(), dataset_id)
-    with open(rul_file(data_dir, dataset_id)) as fh:
-        targets = load_rul_targets(fh.read(), dataset_id, expected_count=len(test))
-    return train, test, targets

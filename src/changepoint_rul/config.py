@@ -47,12 +47,8 @@ class PipelineConfig:
     batch_size: int = 64
     optimizer: str = "rmsprop"
     grad_clip: float = 5.0
-    # scoring
-    sf_under_scale: float = 13.0
-    sf_over_scale: float = 10.0
     # execution
     seed: int = 0
-    threads: int = 1
     subset: int | None = None
     export_traces: bool = False
 
@@ -69,8 +65,6 @@ class PipelineConfig:
             raise ConfigError("window, lifespan, and cap settings must be positive")
         if self.r < 1:
             raise ConfigError(f"retained variate count must be >= 1, got {self.r}")
-        if self.threads < 1:
-            raise ConfigError("thread count must be >= 1")
         if self.subset is not None and self.subset < 1:
             raise ConfigError("subset size must be >= 1 when given")
         return self

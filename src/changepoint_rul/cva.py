@@ -13,7 +13,6 @@ with n_eff = N - f - p + 1.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -243,14 +242,3 @@ def project(model: CvaModel, xp_new: np.ndarray):
             f"past vectors have {xp_new.shape[0]} rows, model expects {model.w.shape[0]}"
         )
     return model.j @ xp_new, model.j_res @ xp_new
-
-
-def save_cva(model: CvaModel, path) -> None:
-    with open(path, "w") as fh:
-        json.dump({"version": 1, "model": model.to_dict()}, fh)
-
-
-def load_cva(path) -> CvaModel:
-    with open(path) as fh:
-        payload = json.load(fh)
-    return CvaModel.from_dict(payload["model"])

@@ -6,12 +6,11 @@ orientation the windowed regressor consumes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cva import Standardizer, apply_standardizer, fit_standardizer
+from .cva import Standardizer, fit_standardizer
 from .errors import InsufficientDataError, IntegrityError
 
 DEFAULT_RUL_CAP = 130
@@ -47,26 +46,6 @@ def piecewise_rul_labels(
     cycles = np.arange(1, k_max + 1)
     labels = np.minimum(k_max - cycles, y_max)
     return RulLabelSpec(unit_id=unit_id, k_max=k_max, k_cp=k_cp, y_max=int(y_max), labels=labels)
-
-
-def piecewise_standardize(series: np.ndarray, k_cp_reference: int):
-    """Standardize a (N, m) matrix with statistics from its pre-change-point rows.
-
-    Mean and deviation are fit on cycles 1..k_cp_reference only, then applied
-    to every cycle, so degradation-era excursions are amplified relative to
-    normal-operation spread.
-
-    Returns (standardized matrix, fitted Standardizer).
-    """
-    series = np.asarray(series, dtype=float)
-    if series.ndim != 2:
-        raise IntegrityError("expected a (N, m) cycle-major matrix")
-    if not 2 <= k_cp_reference <= series.shape[0]:
-        raise InsufficientDataError(
-            f"reference cutoff {k_cp_reference} must lie in 2..{series.shape[0]}"
-        )
-    standardizer = fit_standardizer(series[:k_cp_reference].T)
-    return apply_standardizer(standardizer, series.T).T, standardizer
 
 
 def pooled_standardizer(segments) -> Standardizer:
@@ -149,33 +128,3 @@ def trailing_window(x: np.ndarray, length: int) -> np.ndarray:
     pad = np.repeat(x[:1], length - n, axis=0)
     return np.vstack([pad, x])
 
-
-def save_windowed(dataset: WindowedDataset, path, sidecar: dict | None = None) -> None:
-    """Persist windows as a binary tensor file with a JSON sidecar."""
-    np.savez_compressed(
-        path,
-        windows=dataset.windows,
-        targets=dataset.targets,
-        units=dataset.units,
-        end_cycles=dataset.end_cycles,
-    )
-    meta = {
-        "version": 1,
-        "n_windows": len(dataset),
-        "sequence_length": dataset.sequence_length,
-        "n_channels": dataset.n_channels,
-    }
-    if sidecar:
-        meta.update(sidecar)
-    with open(str(path) + ".json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-
-
-def load_windowed(path) -> WindowedDataset:
-    with np.load(path) as payload:
-        return WindowedDataset(
-            windows=payload["windows"],
-            targets=payload["targets"],
-            units=payload["units"],
-            end_cycles=payload["end_cycles"],
-        )

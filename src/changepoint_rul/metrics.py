@@ -127,33 +127,6 @@ def evaluate_predictions(predictions: dict, targets, cap: float = 130.0, dataset
     )
 
 
-def evaluate_dataset(model, engines, targets, standardizer, cap: float = 130.0) -> EvalReport:
-    """Score a trained regressor over selected-sensor test engines.
-
-    Each engine gets one prediction from its final available window (shorter
-    series are left-padded), standardized with the pooled train-set
-    parameters.
-    """
-    from .cva import apply_standardizer
-    from .labeling import trailing_window
-    from .lstm import predict
-
-    if model.sequence_length is None:
-        raise IntegrityError("model does not carry its training window length")
-    predictions = {}
-    for series in engines:
-        if series.sensors.shape[1] != model.input_dim:
-            raise IntegrityError(
-                f"unit {series.unit_id}: {series.sensors.shape[1]} channels but "
-                f"model expects {model.input_dim}"
-            )
-        x = apply_standardizer(standardizer, np.asarray(series.sensors, dtype=float).T).T
-        window = trailing_window(x, model.sequence_length)
-        predictions[series.unit_id] = predict(model, window, cap=cap)
-    dataset_id = engines[0].dataset_id if engines else "FD001"
-    return evaluate_predictions(predictions, targets, cap=cap, dataset_id=dataset_id)
-
-
 def format_metrics_row(report: EvalReport, label: str = "ChangePoint-LSTM") -> str:
     """One benchmark-table style line for the current run."""
     return (

@@ -12,7 +12,6 @@ import csv
 import json
 import logging
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -135,8 +134,49 @@ def detect_device(series, mon_cfg: MonitorConfig) -> DeviceOutcome:
     )
 
 
-def _subset(engines, subset: int | None):
+def _sorted_subset(engines, subset: int | None):
+    engines = sorted(engines, key=lambda s: s.unit_id)
     return engines[:subset] if subset is not None else engines
+
+
+def _load_split(config: PipelineConfig, split: str):
+    """Parse one split's engines, sorted by unit and cut to ``config.subset``.
+
+    Returns (engines, targets). For ``"test"`` the targets are the RUL file's
+    entries for the kept units; for ``"train"`` they are None, so detection
+    needs only the train file.
+    """
+    path = (cmapss.train_file if split == "train" else cmapss.test_file)(
+        config.data_dir, config.dataset_id
+    )
+    with open(path) as fh:
+        engines = cmapss.parse_cmapss_file(fh.read(), config.dataset_id)
+    kept = _sorted_subset(engines, config.subset)
+    if split == "train":
+        return kept, None
+    with open(cmapss.rul_file(config.data_dir, config.dataset_id)) as fh:
+        targets = cmapss.load_rul_targets(
+            fh.read(), config.dataset_id, expected_count=len(engines)
+        )
+    unit_ids = {s.unit_id for s in kept}
+    return kept, [t for t in targets if t.unit_id in unit_ids]
+
+
+def _selected_train_engines(config: PipelineConfig, engines):
+    """Sensor selection plus the sorted, subset train engines (loaded when None).
+
+    Engines that already carry only the kept channels pass through as given.
+    """
+    selection = cmapss.select_sensors(config.dataset_id)
+    if engines is None:
+        engines, _ = _load_split(config, "train")
+    else:
+        engines = _sorted_subset(engines, config.subset)
+    selected = [
+        cmapss.apply_selection(s, selection) if s.n_channels == cmapss.N_SENSORS else s
+        for s in engines
+    ]
+    return selection, selected
 
 
 def run_detect(config: PipelineConfig, engines=None, write: bool = True):
@@ -147,22 +187,9 @@ def run_detect(config: PipelineConfig, engines=None, write: bool = True):
     statistic traces under config.out_dir.
     """
     config.validate()
-    selection = cmapss.select_sensors(config.dataset_id)
-    if engines is None:
-        with open(cmapss.train_file(config.data_dir, config.dataset_id)) as fh:
-            engines = cmapss.parse_cmapss_file(fh.read(), config.dataset_id)
-    engines = _subset(sorted(engines, key=lambda s: s.unit_id), config.subset)
-    selected = [
-        cmapss.apply_selection(s, selection) if s.n_channels == cmapss.N_SENSORS else s
-        for s in engines
-    ]
+    selection, selected = _selected_train_engines(config, engines)
     mon_cfg = monitor_config(config)
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            outcomes = list(pool.map(lambda s: detect_device(s, mon_cfg), selected))
-    else:
-        outcomes = [detect_device(s, mon_cfg) for s in selected]
+    outcomes = [detect_device(s, mon_cfg) for s in selected]
 
     summary = {
         "dataset": config.dataset_id,
@@ -281,15 +308,7 @@ def run_train(config: PipelineConfig, engines=None, outcomes=None, write: bool =
     otherwise runs detection inline. Returns (model, history, meta).
     """
     config.validate()
-    selection = cmapss.select_sensors(config.dataset_id)
-    if engines is None:
-        with open(cmapss.train_file(config.data_dir, config.dataset_id)) as fh:
-            engines = cmapss.parse_cmapss_file(fh.read(), config.dataset_id)
-    engines = _subset(sorted(engines, key=lambda s: s.unit_id), config.subset)
-    selected = [
-        cmapss.apply_selection(s, selection) if s.n_channels == cmapss.N_SENSORS else s
-        for s in engines
-    ]
+    selection, selected = _selected_train_engines(config, engines)
     if outcomes is None:
         outcomes = _load_or_detect(config, selected)
 
@@ -359,37 +378,9 @@ def _load_or_detect(config: PipelineConfig, selected_engines):
     return outcomes
 
 
-def run_evaluate(
-    config: PipelineConfig,
-    checkpoint_path=None,
-    write: bool = True,
-    injected_predictions: dict | None = None,
-):
-    """Score a checkpoint over the test set; returns the EvalReport.
-
-    ``injected_predictions`` (unit -> estimate) bypasses the model entirely
-    and scores the given values; useful for oracle smoke checks of the
-    scoring path.
-    """
+def run_evaluate(config: PipelineConfig, checkpoint_path=None, write: bool = True):
+    """Score a checkpoint over the test set; returns the EvalReport."""
     config.validate()
-    if injected_predictions is not None:
-        with open(cmapss.test_file(config.data_dir, config.dataset_id)) as fh:
-            test_engines = cmapss.parse_cmapss_file(fh.read(), config.dataset_id)
-        with open(cmapss.rul_file(config.data_dir, config.dataset_id)) as fh:
-            targets = cmapss.load_rul_targets(
-                fh.read(), config.dataset_id, expected_count=len(test_engines)
-            )
-        test_engines = _subset(sorted(test_engines, key=lambda s: s.unit_id), config.subset)
-        unit_ids = {s.unit_id for s in test_engines}
-        targets = [t for t in targets if t.unit_id in unit_ids]
-        report = evaluate_predictions(
-            injected_predictions,
-            targets,
-            cap=float(config.fallback_cap),
-            dataset_id=config.dataset_id,
-        )
-        print(format_metrics_row(report, label="injected-oracle"))
-        return report
     if checkpoint_path is None:
         checkpoint_path = os.path.join(config.out_dir, "checkpoint.npz")
     model, meta = load_checkpoint(checkpoint_path)
@@ -403,16 +394,7 @@ def run_evaluate(
     selection = cmapss.SensorSelection(
         dataset_id=config.dataset_id, kept_indices=tuple(kept)
     )
-    with open(cmapss.test_file(config.data_dir, config.dataset_id)) as fh:
-        test_engines = cmapss.parse_cmapss_file(fh.read(), config.dataset_id)
-    with open(cmapss.rul_file(config.data_dir, config.dataset_id)) as fh:
-        targets = cmapss.load_rul_targets(
-            fh.read(), config.dataset_id, expected_count=len(test_engines)
-        )
-    test_engines = _subset(sorted(test_engines, key=lambda s: s.unit_id), config.subset)
-    unit_ids = {s.unit_id for s in test_engines}
-    targets = [t for t in targets if t.unit_id in unit_ids]
-
+    test_engines, targets = _load_split(config, "test")
     predictions = {}
     for series in test_engines:
         sel = cmapss.apply_selection(series, selection)
@@ -437,16 +419,8 @@ def run_evaluate(
 
 def constant_cap_report(config: PipelineConfig) -> EvalReport:
     """Baseline: predict the fallback cap for every test engine."""
-    with open(cmapss.test_file(config.data_dir, config.dataset_id)) as fh:
-        test_engines = cmapss.parse_cmapss_file(fh.read(), config.dataset_id)
-    with open(cmapss.rul_file(config.data_dir, config.dataset_id)) as fh:
-        targets = cmapss.load_rul_targets(
-            fh.read(), config.dataset_id, expected_count=len(test_engines)
-        )
-    test_engines = _subset(sorted(test_engines, key=lambda s: s.unit_id), config.subset)
-    unit_ids = {s.unit_id for s in test_engines}
-    targets = [t for t in targets if t.unit_id in unit_ids]
-    predictions = {u: float(config.fallback_cap) for u in unit_ids}
+    test_engines, targets = _load_split(config, "test")
+    predictions = {s.unit_id: float(config.fallback_cap) for s in test_engines}
     return evaluate_predictions(
         predictions, targets, cap=float(config.fallback_cap), dataset_id=config.dataset_id
     )

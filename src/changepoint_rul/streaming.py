@@ -68,7 +68,7 @@ class StreamMonitor:
         event = {"type": "rejected", "reason": reason}
         if isinstance(record, dict):
             for key in ("unit", "cycle"):
-                if key in record:
+                if _is_int(record.get(key)):
                     event[key] = record[key]
         return event
 
@@ -82,10 +82,15 @@ class StreamMonitor:
     def process_record(self, record: dict):
         if not isinstance(record, dict) or not {"unit", "cycle", "sensors"} <= set(record):
             return [self._reject("record must carry unit, cycle, and sensors", record)]
-        unit = record["unit"]
+        unit, cycle = record["unit"], record["cycle"]
+        if not (_is_int(unit) and _is_int(cycle)):
+            return [self._reject("unit and cycle must be integers", record)]
         if unit not in self.monitors:
             return [self._reject(f"unknown unit {unit}", record)]
-        sensors = np.asarray(record["sensors"], dtype=float)
+        try:
+            sensors = np.asarray(record["sensors"], dtype=float)
+        except (TypeError, ValueError):
+            return [self._reject("sensors must be numbers", record)]
         if sensors.ndim != 1 or sensors.shape[0] not in (N_SENSORS, self.m):
             return [
                 self._reject(
@@ -94,6 +99,8 @@ class StreamMonitor:
                     record,
                 )
             ]
+        if not np.isfinite(sensors).all():
+            return [self._reject("sensors must be finite", record)]
         if sensors.shape[0] == N_SENSORS:
             sensors = sensors[self.columns]
 
@@ -101,7 +108,6 @@ class StreamMonitor:
         if state is None:
             state = DeviceStreamState(unit_id=unit, monitor=self.monitors[unit])
             self.states[unit] = state
-        cycle = int(record["cycle"])
         if cycle <= state.last_cycle:
             return [self._reject(f"cycle {cycle} not after {state.last_cycle}", record)]
         if state.last_cycle and cycle != state.last_cycle + 1:
@@ -162,6 +168,11 @@ class StreamMonitor:
             status_event["rul"] = predict(self.regressor, window, cap=self.rul_cap)
         events.insert(0, status_event)
         return events
+
+
+def _is_int(value) -> bool:
+    """True for a JSON integer; bools are ints in Python but not here."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def apply_pooled(pooled: Standardizer | None, rows: np.ndarray) -> np.ndarray:

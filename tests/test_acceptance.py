@@ -220,7 +220,6 @@ def test_desk_scale_synthetic_pipeline(tmp_path):
         epochs=30,
         batch_size=64,
         seed=2,
-        threads=1,
     )
     outcomes, summary = run_detect(cfg)
     run_train(cfg, outcomes=outcomes)
@@ -252,7 +251,6 @@ def test_desk_scale_fd001_subset(tmp_path):
         dropout_ratios=(0.1, 0.1),
         epochs=30,
         seed=0,
-        threads=1,
     )
     outcomes, _ = run_detect(cfg)
     run_train(cfg, outcomes=outcomes)

@@ -7,7 +7,6 @@ from changepoint_rul.cmapss import (
     load_rul_targets,
     parse_cmapss_file,
     select_sensors,
-    write_selected_csv,
 )
 from changepoint_rul.errors import IntegrityError, ParseError
 
@@ -54,6 +53,21 @@ def test_non_numeric_field_names_row():
     bad = row(1, 1).replace("0.1", "abc", 1)
     with pytest.raises(ParseError, match="row 1"):
         parse_cmapss_file(bad)
+
+
+@pytest.mark.parametrize(
+    "text,bad_row",
+    [
+        (row(1, 1) + "\n" + row(1, 2, "nan"), 2),
+        (row(2, 1) + "\n" + row(1, 1) + "\n" + row(2, 2, "-inf"), 3),
+        (row(1, 1).replace("0.1", "inf", 1), 1),
+        (row(1, "nan"), 1),
+        (row("inf", 1), 1),
+    ],
+)
+def test_non_finite_value_names_row(text, bad_row):
+    with pytest.raises(ParseError, match=f"row {bad_row}"):
+        parse_cmapss_file(text)
 
 
 def test_cycle_gap_names_unit():
@@ -136,17 +150,6 @@ def test_rul_count_mismatch():
         load_rul_targets("5\n6\n", expected_count=3)
 
 
-def test_selected_csv_export(tmp_path):
-    engines = parse_cmapss_file(row(1, 1) + "\n" + row(1, 2))
-    selection = select_sensors("FD001")
-    path = tmp_path / "selected.csv"
-    write_selected_csv(engines, selection, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].split(",")[:2] == ["unit", "cycle"]
-    assert len(lines) == 3
-    assert len(lines[1].split(",")) == 2 + selection.m
-
-
 REAL_DATA_DIR = None
 for _cand in (__import__("os").environ.get("CMAPSS_DATA_DIR"), "data"):
     if _cand and __import__("os").path.exists(__import__("os").path.join(_cand, "train_FD001.txt")):
@@ -162,11 +165,16 @@ for _cand in (__import__("os").environ.get("CMAPSS_DATA_DIR"), "data"):
 def test_real_dataset_engine_counts(dataset, n_train, n_test):
     import os
 
-    from changepoint_rul.cmapss import load_dataset
+    from changepoint_rul import cmapss
 
     if not os.path.exists(os.path.join(REAL_DATA_DIR, f"train_{dataset}.txt")):
         pytest.skip(f"{dataset} files not present")
-    train, test, targets = load_dataset(REAL_DATA_DIR, dataset)
+    with open(cmapss.train_file(REAL_DATA_DIR, dataset)) as fh:
+        train = parse_cmapss_file(fh.read(), dataset)
+    with open(cmapss.test_file(REAL_DATA_DIR, dataset)) as fh:
+        test = parse_cmapss_file(fh.read(), dataset)
+    with open(cmapss.rul_file(REAL_DATA_DIR, dataset)) as fh:
+        targets = load_rul_targets(fh.read(), dataset, expected_count=len(test))
     assert len(train) == n_train
     assert len(test) == n_test
     assert len(targets) == n_test

@@ -58,8 +58,6 @@ def test_validation_errors():
         default_config("FD001", p=2, f=3)
     with pytest.raises(ConfigError):
         default_config("FD001", alpha=0.3)
-    with pytest.raises(ConfigError):
-        default_config("FD001", threads=0)
 
 
 def test_load_config_file_with_overrides(tmp_path):

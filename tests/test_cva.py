@@ -1,16 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 
 from changepoint_rul.cva import (
+    CvaModel,
     LaggedMatrices,
     apply_standardizer,
     build_lagged_matrices,
     build_past_matrix,
     fit_cva,
     fit_standardizer,
-    load_cva,
     project,
-    save_cva,
 )
 from changepoint_rul.errors import ConfigError, InsufficientDataError, ShapeError
 
@@ -175,11 +176,9 @@ class TestModelProperties:
         gram = model.vr.T @ model.vr
         assert np.max(np.abs(gram - np.eye(model.r))) < 1e-8
 
-    def test_serialization_round_trip(self, tmp_path):
+    def test_serialization_round_trip(self):
         model, lagged, _ = standardized_lagged(seed=19)
-        path = tmp_path / "cva.json"
-        save_cva(model, path)
-        loaded = load_cva(path)
+        loaded = CvaModel.from_dict(json.loads(json.dumps(model.to_dict())))
         np.testing.assert_allclose(loaded.w, model.w)
         np.testing.assert_allclose(loaded.vr, model.vr)
         np.testing.assert_allclose(loaded.j, model.j)

@@ -4,11 +4,8 @@ import pytest
 from changepoint_rul.errors import InsufficientDataError, IntegrityError
 from changepoint_rul.labeling import (
     WindowedDataset,
-    load_windowed,
     piecewise_rul_labels,
-    piecewise_standardize,
     pooled_standardizer,
-    save_windowed,
     sliding_windows,
     trailing_window,
 )
@@ -52,35 +49,6 @@ class TestPiecewiseLabels:
             piecewise_rul_labels(100, 100)
         with pytest.raises(IntegrityError):
             piecewise_rul_labels(100, 0)
-
-
-class TestPiecewiseStandardize:
-    def test_pre_reference_near_zero_post_grows(self):
-        rng = np.random.default_rng(0)
-        n, m, cp = 200, 4, 120
-        x = rng.normal(size=(n, m))
-        x[cp:] += np.linspace(0, 8, n - cp)[:, None]
-        standardized, _ = piecewise_standardize(x, cp)
-        assert np.abs(standardized[:cp]).mean() < 1.0
-        assert np.abs(standardized[-20:]).mean() > 3.0
-
-    def test_full_length_reference_reduces_to_zscore(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(loc=3.0, scale=2.0, size=(80, 3))
-        standardized, s = piecewise_standardize(x, 80)
-        assert np.allclose(standardized.mean(axis=0), 0.0, atol=1e-10)
-        assert np.allclose(standardized.std(axis=0, ddof=1), 1.0, atol=1e-10)
-
-    def test_deterministic_reapplication(self):
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(100, 3))
-        out1, s = piecewise_standardize(x, 60)
-        out2 = apply_standardizer(s, x.T).T
-        assert np.array_equal(out1, out2)
-
-    def test_reference_too_small(self):
-        with pytest.raises(InsufficientDataError):
-            piecewise_standardize(np.zeros((10, 2)), 1)
 
 
 class TestPooledStandardizer:
@@ -142,19 +110,6 @@ class TestTrailingWindow:
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
         w = trailing_window(x, 4)
         np.testing.assert_array_equal(w, [[1, 2], [1, 2], [1, 2], [3, 4]])
-
-
-def test_windowed_persistence_round_trip(tmp_path):
-    rng = np.random.default_rng(5)
-    ds = sliding_windows(rng.normal(size=(30, 3)), np.arange(30.0), 10, unit_id=7)
-    path = tmp_path / "windows.npz"
-    save_windowed(ds, path, sidecar={"dataset": "FD001", "label_cap": 130})
-    loaded = load_windowed(path)
-    np.testing.assert_array_equal(loaded.windows, ds.windows)
-    np.testing.assert_array_equal(loaded.targets, ds.targets)
-    np.testing.assert_array_equal(loaded.units, ds.units)
-    sidecar = (tmp_path / "windows.npz.json").read_text()
-    assert "FD001" in sidecar and "sequence_length" in sidecar
 
 
 def test_concatenate_requires_parts():

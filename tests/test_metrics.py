@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from changepoint_rul.cmapss import RulTarget
-from changepoint_rul.cva import Standardizer
 from changepoint_rul.errors import IntegrityError
 from changepoint_rul.metrics import (
     evaluate_predictions,
@@ -113,32 +112,3 @@ class TestEvaluatePredictions:
         assert len(lines) == 3
         row = format_metrics_row(report)
         assert "RMSE" in row and "FD001" in row
-
-
-class TestEvaluateDataset:
-    def test_prediction_per_engine_from_last_window(self):
-        from changepoint_rul.lstm import init_regressor, iter_parameters
-        from changepoint_rul.metrics import evaluate_dataset
-        from synthetic import make_engine_series
-
-        model = init_regressor(5, (4,), (), seed=0, sequence_length=20)
-        for _, arr in iter_parameters(model):
-            arr[...] = 0.0
-        model.head_b[0] = 42.0
-        engines = [make_engine_series(u, 60, None, seed=u, n_channels=5) for u in (1, 2)]
-        standardizer = Standardizer(mean=np.zeros(5), std=np.ones(5))
-        report = evaluate_dataset(model, engines, targets([42, 40]), standardizer)
-        assert report.n == 2
-        assert report.per_engine[0].predicted_rul == 42.0
-        assert report.per_engine[0].d == 0.0
-
-    def test_channel_mismatch_is_integrity_error(self):
-        from changepoint_rul.lstm import init_regressor
-        from changepoint_rul.metrics import evaluate_dataset
-        from synthetic import make_engine_series
-
-        model = init_regressor(4, (4,), (), seed=0, sequence_length=10)
-        engines = [make_engine_series(1, 50, None, seed=3, n_channels=5)]
-        standardizer = Standardizer(mean=np.zeros(5), std=np.ones(5))
-        with pytest.raises(IntegrityError):
-            evaluate_dataset(model, engines, targets([10]), standardizer)

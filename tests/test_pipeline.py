@@ -1,11 +1,14 @@
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
 from changepoint_rul.cli import main
 from changepoint_rul.config import default_config
+from changepoint_rul.metrics import evaluate_predictions
 from changepoint_rul.pipeline import (
+    _load_split,
     constant_cap_report,
     run_detect,
     run_evaluate,
@@ -105,18 +108,6 @@ class TestDetect:
             )
         assert outputs[0] == outputs[1]
 
-    def test_threads_match_sequential(self, corpus, tmp_path):
-        data_dir, _ = corpus
-        cfg1 = default_config("FD001", data_dir=data_dir, out_dir=str(tmp_path / "s"), subset=6)
-        cfg2 = default_config(
-            "FD001", data_dir=data_dir, out_dir=str(tmp_path / "t"), subset=6, threads=4
-        )
-        run_detect(cfg1)
-        run_detect(cfg2)
-        assert (tmp_path / "s" / "change_points.json").read_bytes() == (
-            tmp_path / "t" / "change_points.json"
-        ).read_bytes()
-
 
 class TestTrain:
     def test_checkpoint_and_history_written(self, trained_run):
@@ -165,13 +156,18 @@ class TestEvaluate:
     def test_oracle_injection_scores_zero(self, corpus, tmp_path):
         data_dir, _ = corpus
         cfg = default_config("FD001", data_dir=data_dir, out_dir=str(tmp_path))
-        from changepoint_rul.cmapss import load_rul_targets, rul_file
-
-        targets = load_rul_targets(open(rul_file(data_dir, "FD001")).read())
+        _, targets = _load_split(cfg, "test")
         injected = {t.unit_id: float(min(t.true_rul_at_cutoff, 130)) for t in targets}
-        report = run_evaluate(cfg, write=False, injected_predictions=injected)
+        report = evaluate_predictions(injected, targets, cap=float(cfg.fallback_cap))
+        assert report.n == 5
         assert report.rmse == 0.0
         assert report.sf == 0.0
+
+    def test_model_and_baseline_score_the_same_subset(self, trained_run):
+        cfg = replace(trained_run[0], subset=3)
+        model_units = [row.unit_id for row in run_evaluate(cfg, write=False).per_engine]
+        baseline_units = [row.unit_id for row in constant_cap_report(cfg).per_engine]
+        assert model_units == baseline_units == [1, 2, 3]
 
     def test_architecture_mismatch_rejected(self, corpus, trained_run, tmp_path):
         data_dir, _ = corpus

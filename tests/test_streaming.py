@@ -1,4 +1,7 @@
+import json
+
 import numpy as np
+import pytest
 
 from changepoint_rul.cva import CvaModel, Standardizer
 from changepoint_rul.monitoring import MonitorModel
@@ -122,6 +125,38 @@ class TestRecordValidation:
         sm = StreamMonitor({1: scalar_monitor()}, kept_indices=[1])
         events = sm.process_record({"unit": 1, "cycle": 2})
         assert events[0]["type"] == "rejected"
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"unit": 1, "cycle": 1, "sensors": ["a", 1]},
+            {"unit": [1], "cycle": 1, "sensors": [0.0]},
+            {"unit": True, "cycle": 1, "sensors": [0.0]},
+            {"unit": 1.0, "cycle": 1, "sensors": [0.0]},
+            {"unit": 1, "cycle": "x", "sensors": [0.0]},
+            {"unit": 1, "cycle": 1.7, "sensors": [0.0]},
+            {"unit": 1, "cycle": True, "sensors": [0.0]},
+            {"unit": 1, "cycle": 1, "sensors": [float("nan")]},
+            {"unit": 1, "cycle": 1, "sensors": [float("inf")]},
+        ],
+        ids=[
+            "text-sensor",
+            "list-unit",
+            "bool-unit",
+            "float-unit",
+            "text-cycle",
+            "fractional-cycle",
+            "bool-cycle",
+            "nan-sensor",
+            "inf-sensor",
+        ],
+    )
+    def test_malformed_values_rejected(self, record):
+        sm = StreamMonitor({1: scalar_monitor()}, kept_indices=[1])
+        events = sm.process_record(record)
+        assert [e["type"] for e in events] == ["rejected"]
+        json.dumps(events, allow_nan=False)
+        assert sm.states == {}  # a rejected record leaves no device state behind
 
 
 class TestInjectedShift:
