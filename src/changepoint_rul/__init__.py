@@ -47,7 +47,6 @@ from .labeling import (
     trailing_window,
 )
 from .lstm import (
-    LstmLayerParams,
     LstmRegressor,
     TrainConfig,
     adam_step,
@@ -56,6 +55,7 @@ from .lstm import (
     load_checkpoint,
     loss_and_gradients,
     predict,
+    predict_batch,
     rmsprop_step,
     save_checkpoint,
     train,

@@ -202,6 +202,8 @@ def load_rul_targets(text: str, dataset_id: str = "FD001", expected_count: int |
             value = float(stripped)
         except ValueError:
             raise ParseError(f"row {lineno}: non-numeric RUL value {stripped!r}") from None
+        if not math.isfinite(value):
+            raise ParseError(f"row {lineno}: non-finite RUL value {stripped!r}")
         if value != int(value):
             raise IntegrityError(f"row {lineno}: RUL must be an integer, got {stripped}")
         value = int(value)

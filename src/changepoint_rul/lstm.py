@@ -6,7 +6,15 @@ the RUL estimate. Inter-layer dropout is inverted (scaled at train time) so
 inference needs no rescaling. Everything is deterministic for a fixed seed
 and single-threaded execution.
 
-Gate order in the fused weight blocks is (input, forget, candidate, output).
+Each layer stores its gates fused: ``wx`` (4h, d), ``wh`` (4h, h) and ``b``
+(4h,), row blocks in gate order (input, forget, output, candidate), so the
+three sigmoid gates form one contiguous slab. Activations are time-major,
+(L, B, ·): the input projection of every step is one GEMM ahead of the
+recurrence. Backward keeps only ``dz @ wh`` inside the time loop, writes each
+step's gate gradient over the cached gate activations, and forms the weight,
+bias and input gradients as single GEMMs after the loop (Appleyard et al.,
+arXiv:1604.01946). Checkpoints are version 2 and hold the fused arrays;
+version-1 files, which hold one array per gate, still load.
 """
 
 from __future__ import annotations
@@ -15,7 +23,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import (
     ConfigError,
@@ -26,40 +33,22 @@ from .errors import (
 )
 from .labeling import WindowedDataset
 
-GATE_NAMES = ("input", "forget", "candidate", "output")
-
 
 @dataclass
-class LstmLayerParams:
-    """Per-gate input weights (h, d_in), recurrent weights (h, h), biases (h,)."""
+class LstmLayer:
+    """Fused gate blocks: input weights wx (4h, d), recurrent weights wh (4h, h), biases b (4h,)."""
 
-    w_input: np.ndarray
-    w_forget: np.ndarray
-    w_candidate: np.ndarray
-    w_output: np.ndarray
-    r_input: np.ndarray
-    r_forget: np.ndarray
-    r_candidate: np.ndarray
-    r_output: np.ndarray
-    b_input: np.ndarray
-    b_forget: np.ndarray
-    b_candidate: np.ndarray
-    b_output: np.ndarray
+    wx: np.ndarray
+    wh: np.ndarray
+    b: np.ndarray
 
     @property
     def hidden_size(self) -> int:
-        return self.w_input.shape[0]
+        return self.wh.shape[1]
 
     @property
     def input_size(self) -> int:
-        return self.w_input.shape[1]
-
-    def fused(self):
-        """Stack gates into (4h, d), (4h, h), (4h,) blocks for batched matmuls."""
-        wx = np.vstack([self.w_input, self.w_forget, self.w_candidate, self.w_output])
-        wh = np.vstack([self.r_input, self.r_forget, self.r_candidate, self.r_output])
-        b = np.concatenate([self.b_input, self.b_forget, self.b_candidate, self.b_output])
-        return wx, wh, b
+        return self.wx.shape[1]
 
 
 @dataclass
@@ -83,19 +72,17 @@ class LstmRegressor:
         return tuple(layer.hidden_size for layer in self.layers)
 
 
-def _init_layer(d_in: int, h: int, rng: np.random.Generator) -> LstmLayerParams:
+def _init_layer(d_in: int, h: int, rng: np.random.Generator) -> LstmLayer:
     scale = 1.0 / np.sqrt(h)
-
-    def mat(rows, cols):
-        return rng.uniform(-scale, scale, size=(rows, cols))
-
-    weights = {}
-    for kind, cols in (("w", d_in), ("r", h)):
-        for gate in GATE_NAMES:
-            weights[f"{kind}_{gate}"] = mat(h, cols)
-    biases = {f"b_{gate}": np.zeros(h) for gate in GATE_NAMES}
-    biases["b_forget"] = np.ones(h)  # open forget gates stabilize early training
-    return LstmLayerParams(**weights, **biases)
+    wx = rng.uniform(-scale, scale, size=(4 * h, d_in))
+    wh = rng.uniform(-scale, scale, size=(4 * h, h))
+    for w in (wx, wh):  # drawn in (i, f, g, o) order, stored as (i, f, o, g)
+        candidate = w[2 * h : 3 * h].copy()
+        w[2 * h : 3 * h] = w[3 * h :]
+        w[3 * h :] = candidate
+    b = np.zeros(4 * h)
+    b[h : 2 * h] = 1.0  # open forget gates stabilize early training
+    return LstmLayer(wx, wh, b)
 
 
 def init_regressor(
@@ -140,21 +127,25 @@ def iter_parameters(model: LstmRegressor):
     """Named views of every trainable array, in a fixed order."""
     out = []
     for idx, layer in enumerate(model.layers):
-        for kind in ("w", "r", "b"):
-            for gate in GATE_NAMES:
-                name = f"layer{idx}.{kind}_{gate}"
-                out.append((name, getattr(layer, f"{kind}_{gate}")))
-    out.append(("head.w", model.head_w))
-    out.append(("head.b", model.head_b))
-    return out
+        out += [(f"layer{idx}.{kind}", getattr(layer, kind)) for kind in ("wx", "wh", "b")]
+    return out + [("head.w", model.head_w), ("head.b", model.head_b)]
 
 
-def _sigmoid(x):
-    return expit(x)
+def _sigmoid_(x):
+    """Logistic sigmoid in place, as 0.5 * (1 + tanh(x / 2))."""
+    x *= 0.5
+    np.tanh(x, out=x)
+    x += 1.0
+    x *= 0.5
 
 
-def _forward_batch(model: LstmRegressor, x: np.ndarray, training: bool, rng):
-    """Run (B, L, d) windows through the stack; returns (yhat (B,), cache)."""
+def _forward_batch(model: LstmRegressor, x: np.ndarray, training: bool, rng, keep_cache=True):
+    """Run (B, L, d) windows through the stack; returns (yhat (B,), cache).
+
+    The cache holds one dict of time-major activations per layer for the
+    backward pass; with keep_cache=False it stays empty and each layer's
+    buffers are freed as soon as the next layer has read them.
+    """
     x = np.asarray(x, dtype=float)
     if x.ndim != 3 or x.shape[2] != model.input_dim:
         raise ShapeError(
@@ -162,7 +153,7 @@ def _forward_batch(model: LstmRegressor, x: np.ndarray, training: bool, rng):
         )
     batch, steps, _ = x.shape
     cache = []
-    current = x
+    current = np.ascontiguousarray(x.transpose(1, 0, 2))
     for idx, layer in enumerate(model.layers):
         mask = None
         if idx > 0:
@@ -171,57 +162,46 @@ def _forward_batch(model: LstmRegressor, x: np.ndarray, training: bool, rng):
                 if rng is None:
                     raise ConfigError("training-mode forward with dropout needs an rng")
                 keep = 1.0 - ratio
-                mask = (rng.random(current.shape) < keep) / keep
-                current = current * mask
-        h_size = layer.hidden_size
-        wx, wh, b = layer.fused()
-        gates_i = np.empty((batch, steps, h_size))
-        gates_f = np.empty((batch, steps, h_size))
-        gates_g = np.empty((batch, steps, h_size))
-        gates_o = np.empty((batch, steps, h_size))
-        cells = np.empty((batch, steps, h_size))
-        cell_tanh = np.empty((batch, steps, h_size))
-        hidden = np.empty((batch, steps, h_size))
-        h_prev = np.zeros((batch, h_size))
-        c_prev = np.zeros((batch, h_size))
-        pre = current @ wx.T + b  # (B, L, 4h), input contribution of every step
+                # drawn as (B, L, d), so the rng stream does not depend on the layout
+                mask = (rng.random((batch, steps, current.shape[2])) < keep) / keep
+                mask = mask.transpose(1, 0, 2)
+                current = current * mask  # C-contiguous, time-major
+        h = layer.hidden_size
+        gates = (current.reshape(steps * batch, -1) @ layer.wx.T).reshape(steps, batch, 4 * h)
+        gates += layer.b
+        hidden = np.empty((steps, batch, h))
+        if keep_cache:
+            cells = np.empty((steps, batch, h))
+            cell_tanh = np.empty((steps, batch, h))
+        c = np.zeros((batch, h))
         for t in range(steps):
-            z = pre[:, t, :] + h_prev @ wh.T
-            gi = _sigmoid(z[:, :h_size])
-            gf = _sigmoid(z[:, h_size : 2 * h_size])
-            gg = np.tanh(z[:, 2 * h_size : 3 * h_size])
-            go = _sigmoid(z[:, 3 * h_size :])
-            c = gf * c_prev + gi * gg
+            z = gates[t]  # pre-activations in, gate activations out
+            if t:
+                z += hidden[t - 1] @ layer.wh.T
+            _sigmoid_(z[:, : 3 * h])
+            np.tanh(z[:, 3 * h :], out=z[:, 3 * h :])
+            c = z[:, h : 2 * h] * c + z[:, :h] * z[:, 3 * h :]
             tc = np.tanh(c)
-            h = go * tc
-            gates_i[:, t] = gi
-            gates_f[:, t] = gf
-            gates_g[:, t] = gg
-            gates_o[:, t] = go
-            cells[:, t] = c
-            cell_tanh[:, t] = tc
-            hidden[:, t] = h
-            h_prev, c_prev = h, c
+            np.multiply(z[:, 2 * h : 3 * h], tc, out=hidden[t])
+            if keep_cache:
+                cells[t], cell_tanh[t] = c, tc
         if not np.all(np.isfinite(hidden)):
-            bad = np.argwhere(~np.isfinite(hidden).all(axis=(0, 2)))
+            bad = np.argwhere(~np.isfinite(hidden).all(axis=(1, 2)))
             step = int(bad[0][0]) if len(bad) else -1
             raise NumericError(f"non-finite activation in layer {idx} at step {step}")
-        cache.append(
-            {
-                "inputs": current,
-                "mask": mask,
-                "i": gates_i,
-                "f": gates_f,
-                "g": gates_g,
-                "o": gates_o,
-                "c": cells,
-                "tc": cell_tanh,
-                "h": hidden,
-            }
-        )
+        if keep_cache:
+            cache.append(
+                {
+                    "inputs": current,
+                    "mask": mask,
+                    "gates": gates,
+                    "c": cells,
+                    "tc": cell_tanh,
+                    "h": hidden,
+                }
+            )
         current = hidden
-    final_hidden = current[:, -1, :]
-    yhat = final_hidden @ model.head_w + model.head_b[0]
+    yhat = current[-1] @ model.head_w + model.head_b[0]
     return yhat, cache
 
 
@@ -235,64 +215,47 @@ def forward(model: LstmRegressor, window: np.ndarray, training: bool = False, rn
 
 
 def _backward_batch(model: LstmRegressor, cache: list, dyhat: np.ndarray) -> dict:
-    """Backpropagate d(loss)/d(yhat) through head and stacked recurrences."""
+    """Backpropagate d(loss)/d(yhat) through head and stacked recurrences.
+
+    Overwrites each layer's cached gate activations with their gradients.
+    """
     grads = {}
-    top = cache[-1]
-    final_hidden = top["h"][:, -1, :]
-    grads["head.w"] = final_hidden.T @ dyhat
+    grads["head.w"] = cache[-1]["h"][-1].T @ dyhat
     grads["head.b"] = np.array([dyhat.sum()])
 
-    batch, steps, _ = top["h"].shape
-    d_hidden = np.zeros_like(top["h"])
-    d_hidden[:, -1, :] = np.outer(dyhat, model.head_w)
-
+    d_hidden = None  # the top layer's only upstream gradient is the head's
+    dh_next = np.outer(dyhat, model.head_w)
     for idx in range(len(model.layers) - 1, -1, -1):
-        layer = model.layers[idx]
-        layer_cache = cache[idx]
-        h_size = layer.hidden_size
-        wx, wh, _ = layer.fused()
-        gi, gf, gg, go = (layer_cache[k] for k in ("i", "f", "g", "o"))
-        cells, cell_tanh = layer_cache["c"], layer_cache["tc"]
-        inputs = layer_cache["inputs"]
-
-        d_wx = np.zeros_like(wx)
-        d_wh = np.zeros_like(wh)
-        d_b = np.zeros(4 * h_size)
-        d_inputs = np.empty_like(inputs)
-        dh_next = np.zeros((batch, h_size))
-        dc_next = np.zeros((batch, h_size))
+        layer, layer_cache = model.layers[idx], cache[idx]
+        gates, cells, cell_tanh, hidden = (layer_cache[k] for k in ("gates", "c", "tc", "h"))
+        steps, batch, h = hidden.shape
+        dc_next = 0.0
         for t in range(steps - 1, -1, -1):
-            dh = d_hidden[:, t, :] + dh_next
-            tc = cell_tanh[:, t]
-            d_o = dh * tc
-            dz_o = d_o * go[:, t] * (1.0 - go[:, t])
-            dc = dc_next + dh * go[:, t] * (1.0 - tc * tc)
-            d_i = dc * gg[:, t]
-            dz_i = d_i * gi[:, t] * (1.0 - gi[:, t])
-            c_prev = cells[:, t - 1] if t > 0 else np.zeros((batch, h_size))
-            d_f = dc * c_prev
-            dz_f = d_f * gf[:, t] * (1.0 - gf[:, t])
-            d_g = dc * gi[:, t]
-            dz_g = d_g * (1.0 - gg[:, t] * gg[:, t])
-            dz = np.concatenate([dz_i, dz_f, dz_g, dz_o], axis=1)
-            h_prev = layer_cache["h"][:, t - 1] if t > 0 else np.zeros((batch, h_size))
-            d_wx += dz.T @ inputs[:, t, :]
-            d_wh += dz.T @ h_prev
-            d_b += dz.sum(axis=0)
-            d_inputs[:, t, :] = dz @ wx
-            dh_next = dz @ wh
-            dc_next = dc * gf[:, t]
-
-        for gate_idx, gate in enumerate(GATE_NAMES):
-            sl = slice(gate_idx * h_size, (gate_idx + 1) * h_size)
-            grads[f"layer{idx}.w_{gate}"] = d_wx[sl]
-            grads[f"layer{idx}.r_{gate}"] = d_wh[sl]
-            grads[f"layer{idx}.b_{gate}"] = d_b[sl]
-
-        if layer_cache["mask"] is not None:
-            d_inputs = d_inputs * layer_cache["mask"]
+            z = gates[t]  # gate activations in, d(loss)/d(pre-activation) out
+            gi, gf, go, gg = z[:, :h], z[:, h : 2 * h], z[:, 2 * h : 3 * h], z[:, 3 * h :]
+            dh = dh_next if d_hidden is None else d_hidden[t] + dh_next
+            tc = cell_tanh[t]
+            dc = dc_next + dh * go * (1.0 - tc * tc)
+            dc_next = dc * gf
+            dz_g = dc * gi * (1.0 - gg * gg)
+            sig = z[:, : 3 * h]
+            sig *= 1.0 - sig  # sigmoid derivative of the (i, f, o) slab
+            gi *= dc * gg
+            gf *= dc * cells[t - 1] if t else 0.0
+            go *= dh * tc
+            gg[...] = dz_g
+            if t:
+                dh_next = z @ layer.wh
+        d_z = gates.reshape(steps * batch, 4 * h)
+        grads[f"layer{idx}.wx"] = d_z.T @ layer_cache["inputs"].reshape(steps * batch, -1)
+        # step t's recurrent input is hidden[t - 1]; step 0 saw a zero state
+        grads[f"layer{idx}.wh"] = d_z[batch:].T @ hidden[:-1].reshape(-1, h)
+        grads[f"layer{idx}.b"] = d_z.sum(axis=0)
         if idx > 0:
-            d_hidden = d_inputs
+            d_hidden = (d_z @ layer.wx).reshape(steps, batch, -1)
+            if layer_cache["mask"] is not None:
+                d_hidden *= layer_cache["mask"]
+            dh_next = 0.0
     return grads
 
 
@@ -447,18 +410,26 @@ def train(dataset: WindowedDataset, config: TrainConfig):
     return model, history
 
 
-def predict(model: LstmRegressor, window: np.ndarray, cap: float | None = None) -> float:
-    """Inference-mode estimate for one window, clamped to [0, cap]."""
+def predict_batch(model: LstmRegressor, windows: np.ndarray, cap: float | None = None) -> np.ndarray:
+    """Inference-mode estimates for a (B, L, m) stack of windows, clamped to [0, cap]."""
     if cap is None:
         cap = model.label_cap
-    yhat, _ = forward(model, window, training=False)
-    return float(np.clip(yhat, 0.0, cap))
+    yhat, _ = _forward_batch(model, windows, training=False, rng=None, keep_cache=False)
+    return np.clip(yhat, 0.0, cap)
+
+
+def predict(model: LstmRegressor, window: np.ndarray, cap: float | None = None) -> float:
+    """Inference-mode estimate for one (L, m) window, clamped to [0, cap]."""
+    window = np.asarray(window, dtype=float)
+    if window.ndim != 2:
+        raise ShapeError(f"expected an (L, m) window, got shape {window.shape}")
+    return float(predict_batch(model, window[None, :, :], cap)[0])
 
 
 def save_checkpoint(model: LstmRegressor, path, meta: dict | None = None) -> None:
     """Versioned binary checkpoint: architecture header plus parameter payload."""
     header = {
-        "version": 1,
+        "version": 2,
         "input_dim": model.input_dim,
         "hidden_sizes": list(model.hidden_sizes),
         "dropout_ratios": list(model.dropout_ratios),
@@ -472,12 +443,22 @@ def save_checkpoint(model: LstmRegressor, path, meta: dict | None = None) -> Non
     np.savez(path, **payload)
 
 
+def _stored_keys(name: str, version: int) -> list:
+    """Payload keys holding a parameter; version 1 kept one array per gate."""
+    if version == 2 or name.startswith("head."):
+        return [name]
+    layer, kind = name.split(".")
+    prefix = {"wx": "w", "wh": "r", "b": "b"}[kind]
+    return [f"{layer}.{prefix}_{gate}" for gate in ("input", "forget", "output", "candidate")]
+
+
 def load_checkpoint(path):
     """Load (model, meta) from a checkpoint written by save_checkpoint."""
     with np.load(path) as payload:
         header = json.loads(bytes(payload["header"]).decode())
-        if header.get("version") != 1:
-            raise IntegrityError(f"unsupported checkpoint version {header.get('version')}")
+        version = header.get("version")
+        if version not in (1, 2):
+            raise IntegrityError(f"unsupported checkpoint version {version}")
         model = init_regressor(
             header["input_dim"],
             header["hidden_sizes"],
@@ -487,9 +468,11 @@ def load_checkpoint(path):
             sequence_length=header.get("sequence_length"),
         )
         for name, value in iter_parameters(model):
-            if name not in payload:
-                raise IntegrityError(f"checkpoint missing parameter {name}")
-            stored = payload[name]
+            keys = _stored_keys(name, version)
+            missing = [key for key in keys if key not in payload]
+            if missing:
+                raise IntegrityError(f"checkpoint missing parameter {missing[0]}")
+            stored = np.concatenate([payload[key] for key in keys]) if version == 1 else payload[name]
             if stored.shape != value.shape:
                 raise IntegrityError(
                     f"checkpoint parameter {name} has shape {stored.shape}, "

@@ -32,7 +32,7 @@ from .labeling import (
     sliding_windows,
     trailing_window,
 )
-from .lstm import TrainConfig, load_checkpoint, predict, save_checkpoint, train
+from .lstm import TrainConfig, load_checkpoint, predict_batch, save_checkpoint, train
 from .metrics import EvalReport, evaluate_predictions, format_metrics_row
 from .monitoring import (
     MonitorConfig,
@@ -154,6 +154,8 @@ def _load_split(config: PipelineConfig, split: str):
     kept = _sorted_subset(engines, config.subset)
     if split == "train":
         return kept, None
+    if not kept:
+        raise InsufficientDataError(f"{path} holds no engines")
     with open(cmapss.rul_file(config.data_dir, config.dataset_id)) as fh:
         targets = cmapss.load_rul_targets(
             fh.read(), config.dataset_id, expected_count=len(engines)
@@ -387,6 +389,11 @@ def run_evaluate(config: PipelineConfig, checkpoint_path=None, write: bool = Tru
     kept = meta.get("kept_indices")
     if kept is None or len(kept) != model.input_dim:
         raise IntegrityError("checkpoint metadata does not match its architecture")
+    for i, index in enumerate(kept):
+        if type(index) is not int or not 1 <= index <= cmapss.N_SENSORS or index in kept[:i]:
+            raise IntegrityError(
+                f"checkpoint sensor index {index!r} is not a distinct int in 1..{cmapss.N_SENSORS}"
+            )
     pooled = Standardizer(
         mean=np.asarray(meta["pooled_mean"], dtype=float),
         std=np.asarray(meta["pooled_std"], dtype=float),
@@ -395,17 +402,15 @@ def run_evaluate(config: PipelineConfig, checkpoint_path=None, write: bool = Tru
         dataset_id=config.dataset_id, kept_indices=tuple(kept)
     )
     test_engines, targets = _load_split(config, "test")
-    predictions = {}
-    for series in test_engines:
-        sel = cmapss.apply_selection(series, selection)
-        if sel.sensors.shape[1] != model.input_dim:
-            raise IntegrityError(
-                f"unit {series.unit_id}: {sel.sensors.shape[1]} channels but "
-                f"checkpoint expects {model.input_dim}"
-            )
-        x = apply_standardizer(pooled, np.asarray(sel.sensors, dtype=float).T).T
-        window = trailing_window(x, model.sequence_length)
-        predictions[series.unit_id] = predict(model, window, cap=float(config.fallback_cap))
+    windows = [
+        trailing_window(
+            apply_standardizer(pooled, cmapss.apply_selection(s, selection).sensors.T).T,
+            model.sequence_length,
+        )
+        for s in test_engines
+    ]
+    estimates = predict_batch(model, np.stack(windows), cap=float(config.fallback_cap))
+    predictions = {s.unit_id: float(y) for s, y in zip(test_engines, estimates)}
     report = evaluate_predictions(
         predictions, targets, cap=float(config.fallback_cap), dataset_id=config.dataset_id
     )

@@ -145,6 +145,12 @@ def test_rul_negative_rejected():
         load_rul_targets("-3\n")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_rul_non_finite_rejected(value):
+    with pytest.raises(ParseError, match=f"row 2: non-finite RUL value '{value}'"):
+        load_rul_targets(f"12\n{value}\n")
+
+
 def test_rul_count_mismatch():
     with pytest.raises(IntegrityError, match="2 entries"):
         load_rul_targets("5\n6\n", expected_count=3)

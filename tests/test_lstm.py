@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from changepoint_rul.lstm import (
     load_checkpoint,
     loss_and_gradients,
     predict,
+    predict_batch,
     rmsprop_step,
     save_checkpoint,
     train,
@@ -324,6 +326,24 @@ class TestPredict:
         window = np.random.default_rng(18).normal(size=(6, 3))
         assert predict(model, window) == predict(model, window)
 
+    def test_batch_matches_single_windows(self):
+        model = init_regressor(3, (7, 5), (0.2,), seed=20)
+        model.head_w *= 80.0  # spread the estimates past both clamps
+        rng = np.random.default_rng(21)
+        windows = np.concatenate([rng.normal(size=(5, 9, 3)), 40 * rng.normal(size=(3, 9, 3))])
+        batch = predict_batch(model, windows, cap=4.0)
+        single = np.array([predict(model, w, cap=4.0) for w in windows])
+        assert batch.shape == (8,)
+        assert np.any(batch == 0.0) and np.any(batch == 4.0)
+        assert np.any((batch > 0.0) & (batch < 4.0))
+        np.testing.assert_allclose(batch, single, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(6, 3), (2, 6, 4), (2, 6, 3, 1), (3,)])
+    def test_batch_shape_errors(self, shape):
+        model = init_regressor(3, (4,), (), seed=0)
+        with pytest.raises(ShapeError):
+            predict_batch(model, np.ones(shape))
+
 
 def test_checkpoint_round_trip(tmp_path):
     ds = linear_task(n=40, length=6, seed=4)
@@ -340,3 +360,43 @@ def test_checkpoint_round_trip(tmp_path):
         np.testing.assert_array_equal(a, b)
     window = np.random.default_rng(19).normal(size=(6, 3))
     assert predict(model, window) == predict(loaded, window)
+
+
+def test_version_1_checkpoint_loads(tmp_path):
+    """Version 1 stored one array per gate, under layer{i}.{w,r,b}_{gate}."""
+    model = init_regressor(3, (5, 4), (0.1,), seed=22, label_cap=125.0, sequence_length=6)
+    for _, arr in iter_parameters(model):
+        arr += np.random.default_rng(23).normal(scale=0.1, size=arr.shape)
+    payload = {"head.w": model.head_w, "head.b": model.head_b}
+    for idx, layer in enumerate(model.layers):
+        h = layer.hidden_size
+        rows = {"input": 0, "forget": 1, "output": 2, "candidate": 3}  # fused block order
+        for gate, block in rows.items():
+            sl = slice(block * h, (block + 1) * h)
+            payload[f"layer{idx}.w_{gate}"] = layer.wx[sl]
+            payload[f"layer{idx}.r_{gate}"] = layer.wh[sl]
+            payload[f"layer{idx}.b_{gate}"] = layer.b[sl]
+    header = {
+        "version": 1,
+        "input_dim": 3,
+        "hidden_sizes": [5, 4],
+        "dropout_ratios": [0.1],
+        "seed": 22,
+        "label_cap": 125.0,
+        "sequence_length": 6,
+        "meta": {"dataset": "FD001"},
+    }
+    payload["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+    path = tmp_path / "v1.npz"
+    np.savez(path, **payload)
+    loaded, meta = load_checkpoint(path)
+    assert meta == {"dataset": "FD001"}
+    for (name, a), (_, b) in zip(iter_parameters(model), iter_parameters(loaded)):
+        np.testing.assert_array_equal(a, b, err_msg=name)
+    windows = np.random.default_rng(24).normal(size=(4, 6, 3))
+    np.testing.assert_array_equal(predict_batch(loaded, windows), predict_batch(model, windows))
+
+    del payload["layer1.r_output"]
+    np.savez(path, **payload)
+    with pytest.raises(IntegrityError, match="layer1.r_output"):
+        load_checkpoint(path)

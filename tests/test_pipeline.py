@@ -182,6 +182,38 @@ class TestEvaluate:
         with pytest.raises(IntegrityError):
             run_evaluate(cfg, checkpoint_path=str(path), write=False)
 
+    @pytest.mark.parametrize(
+        "kept,bad",
+        [
+            ([30] * 14, "30"),
+            ([0] + list(range(2, 15)), "0"),  # would read sensor 21 as column -1
+            (list(range(2, 15)) + [2], "2"),
+            ([2.0] + list(range(3, 16)), "2.0"),
+        ],
+        ids=["above_21", "zero", "repeated", "float"],
+    )
+    def test_bad_sensor_indices_rejected(self, trained_run, tmp_path, capsys, kept, bad):
+        from changepoint_rul.errors import IntegrityError
+        from changepoint_rul.lstm import save_checkpoint
+
+        cfg, model, _, meta = trained_run
+        path = tmp_path / "bad.npz"
+        save_checkpoint(model, path, meta=dict(meta, kept_indices=kept))
+        with pytest.raises(IntegrityError, match=f"sensor index {bad} "):
+            run_evaluate(cfg, checkpoint_path=str(path), write=False)
+        argv = ["evaluate", "--data-dir", cfg.data_dir, "--out-dir", str(tmp_path)]
+        assert main(argv + ["--checkpoint", str(path)]) == 2
+        assert f"sensor index {bad} " in capsys.readouterr().err
+
+    def test_empty_test_split_rejected(self, trained_run, tmp_path):
+        from changepoint_rul.errors import InsufficientDataError
+
+        (tmp_path / "test_FD001.txt").write_text("")
+        (tmp_path / "RUL_FD001.txt").write_text("")
+        cfg = replace(trained_run[0], data_dir=str(tmp_path))
+        with pytest.raises(InsufficientDataError, match="no engines"):
+            run_evaluate(cfg, write=False)
+
 
 class TestSweep:
     def test_na_semantics_and_single_candidate_reduction(self, corpus, tmp_path):
