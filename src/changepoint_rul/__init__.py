@@ -30,7 +30,6 @@ from .cva import (
 from .errors import (
     ConfigError,
     DataError,
-    FallbackRequired,
     InsufficientDataError,
     IntegrityError,
     NumericError,
@@ -70,7 +69,6 @@ from .metrics import (
 )
 from .monitoring import (
     ChangePointResult,
-    MonitorConfig,
     MonitorModel,
     StatisticSeries,
     compute_lambda,

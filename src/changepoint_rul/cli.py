@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from contextlib import nullcontext
 
 from .config import default_config, load_config
 from .errors import DataError, PipelineError
@@ -117,23 +118,15 @@ def main(argv=None) -> int:
             run_evaluate(config, checkpoint_path=args.checkpoint)
         elif args.command == "monitor":
             config = _build_config(args)
-            if args.input == "-":
+            source = nullcontext(sys.stdin) if args.input == "-" else open(args.input)
+            with source as fh:
                 n = run_monitor(
                     args.monitors,
-                    sys.stdin,
+                    fh,
                     sys.stdout,
                     checkpoint_path=args.checkpoint,
                     rul_cap=float(config.fallback_cap),
                 )
-            else:
-                with open(args.input) as fh:
-                    n = run_monitor(
-                        args.monitors,
-                        fh,
-                        sys.stdout,
-                        checkpoint_path=args.checkpoint,
-                        rul_cap=float(config.fallback_cap),
-                    )
             log.info("emitted %d events", n)
         elif args.command == "sweep":
             config = _build_config(args)

@@ -24,7 +24,7 @@ N_COLUMNS = 2 + N_OP_SETTINGS + N_SENSORS
 
 # 1-based sensor indices dropped per dataset: flat/constant channels for the
 # single-condition datasets, erratic range-bound channels for the
-# multi-condition ones. Override via ``select_sensors(excluded=...)``.
+# multi-condition ones.
 EXCLUDED_SENSORS = {
     "FD001": (1, 5, 6, 10, 16, 18, 19),
     "FD002": (10, 13, 16, 18, 19),
@@ -148,30 +148,24 @@ def _first_non_finite_row(text: str) -> int:
             return lineno
 
 
-def format_engine_rows(series: EngineSeries) -> str:
-    """Serialize a series back to the 26-column text layout (round-trippable)."""
-    lines = []
-    for i, cycle in enumerate(series.cycles):
-        fields = [str(series.unit_id), str(int(cycle))]
-        fields += [repr(float(v)) for v in series.op_settings[i]]
-        fields += [repr(float(v)) for v in series.sensors[i]]
-        lines.append(" ".join(fields))
-    return "\n".join(lines) + "\n"
-
-
-def select_sensors(dataset_id: str, excluded=None) -> SensorSelection:
-    """Return the kept-channel table for a dataset.
-
-    ``excluded`` overrides the built-in exclusion list (1-based indices).
-    """
-    _check_dataset_id(dataset_id)
-    if excluded is None:
-        excluded = EXCLUDED_SENSORS[dataset_id]
-    excluded = set(int(i) for i in excluded)
-    if not excluded <= set(range(1, N_SENSORS + 1)):
-        raise IntegrityError(f"excluded sensor indices out of range 1..{N_SENSORS}: {sorted(excluded)}")
+def select_sensors(dataset_id: str) -> SensorSelection:
+    """Return the kept-channel table for a dataset."""
+    excluded = EXCLUDED_SENSORS[_check_dataset_id(dataset_id)]
     kept = tuple(i for i in range(1, N_SENSORS + 1) if i not in excluded)
     return SensorSelection(dataset_id=dataset_id, kept_indices=kept)
+
+
+def check_kept_indices(kept, source: str) -> tuple:
+    """Kept 1-based sensor indices read from an artifact, checked to be
+    distinct ints in 1..21 before they index a sensor row."""
+    if not isinstance(kept, list):
+        raise IntegrityError(f"{source} holds no list of kept sensor indices")
+    for i, index in enumerate(kept):
+        if type(index) is not int or not 1 <= index <= N_SENSORS or index in kept[:i]:
+            raise IntegrityError(
+                f"{source} sensor index {index!r} is not a distinct int in 1..{N_SENSORS}"
+            )
+    return tuple(kept)
 
 
 def apply_selection(series: EngineSeries, selection: SensorSelection) -> EngineSeries:

@@ -44,16 +44,3 @@ class NumericError(PipelineError):
 
     exit_code = 3
 
-
-class FallbackRequired(Exception):
-    """Signal (not an error): a device is too short-lived for change-point
-    detection and the caller must apply the fixed RUL cap instead."""
-
-    def __init__(self, unit_id, lifespan, min_lifespan):
-        self.unit_id = unit_id
-        self.lifespan = lifespan
-        self.min_lifespan = min_lifespan
-        super().__init__(
-            f"unit {unit_id}: lifespan {lifespan} below minimum {min_lifespan}, "
-            f"fixed RUL cap applies"
-        )

@@ -91,7 +91,7 @@ class WindowedDataset:
 
 
 def sliding_windows(
-    x: np.ndarray, labels: np.ndarray, length: int, step: int = 1, unit_id: int = 0
+    x: np.ndarray, labels: np.ndarray, length: int, unit_id: int = 0
 ) -> WindowedDataset:
     """Cut a (N, m) matrix into length-L windows ending at cycles L..N.
 
@@ -104,11 +104,11 @@ def sliding_windows(
     n = x.shape[0]
     if labels.shape[0] != n:
         raise IntegrityError(f"{n} cycles but {labels.shape[0]} labels")
-    if length < 1 or step < 1:
-        raise IntegrityError("window length and step must be >= 1")
+    if length < 1:
+        raise IntegrityError("window length must be >= 1")
     if n < length:
         raise InsufficientDataError(f"unit {unit_id}: {n} cycles < window length {length}")
-    ends = np.arange(length, n + 1, step)
+    ends = np.arange(length, n + 1)
     windows = np.stack([x[e - length : e] for e in ends])
     return WindowedDataset(
         windows=windows,

@@ -31,11 +31,11 @@ def rmse(preds, truths) -> float:
     return float(np.sqrt(np.mean(d * d)))
 
 
-def score_term(d: float, under_scale: float = SF_UNDER_SCALE, over_scale: float = SF_OVER_SCALE) -> float:
+def score_term(d: float) -> float:
     """Penalty contribution of one engine with error d = predicted - true."""
     if d < 0:
-        return math.exp(-d / under_scale) - 1.0
-    return math.exp(d / over_scale) - 1.0
+        return math.exp(-d / SF_UNDER_SCALE) - 1.0
+    return math.exp(d / SF_OVER_SCALE) - 1.0
 
 
 def score_function(preds, truths) -> float:
@@ -127,9 +127,9 @@ def evaluate_predictions(predictions: dict, targets, cap: float = 130.0, dataset
     )
 
 
-def format_metrics_row(report: EvalReport, label: str = "ChangePoint-LSTM") -> str:
+def format_metrics_row(report: EvalReport) -> str:
     """One benchmark-table style line for the current run."""
     return (
-        f"{label:<20s} {report.dataset_id:<6s} n={report.n:<4d} "
+        f"{'ChangePoint-LSTM':<20s} {report.dataset_id:<6s} n={report.n:<4d} "
         f"RMSE={report.rmse:7.2f}  SF={report.sf:10.2f}"
     )

@@ -17,6 +17,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .cmapss import EngineSeries
+from .config import PipelineConfig
 from .cva import (
     CvaModel,
     apply_standardizer,
@@ -26,9 +27,11 @@ from .cva import (
     fit_standardizer,
     project,
 )
-from .errors import ConfigError, FallbackRequired, InsufficientDataError
+from .errors import ConfigError, InsufficientDataError
 
 KDE_MIN_SAMPLES = 30
+# Relative width at which the control-limit bisection stops.
+KDE_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -86,7 +89,7 @@ def kde_cdf(samples: np.ndarray, bandwidth: float, x: float) -> float:
     return float(ndtr((x - samples) / bandwidth).mean())
 
 
-def kde_control_limit(samples, alpha: float, rtol: float = 1e-6) -> float:
+def kde_control_limit(samples, alpha: float) -> float:
     """Upper control limit: the alpha-quantile of a Gaussian-kernel KDE.
 
     Solved by bisection of CDF(x) = alpha on [min sample, max sample + 5h].
@@ -114,7 +117,7 @@ def kde_control_limit(samples, alpha: float, rtol: float = 1e-6) -> float:
     hi = float(samples.max() + 5.0 * bandwidth)
     if kde_cdf(samples, bandwidth, lo) >= alpha:
         return lo
-    while (hi - lo) > rtol * max(1.0, abs(hi)):
+    while (hi - lo) > KDE_RTOL * max(1.0, abs(hi)):
         mid = 0.5 * (lo + hi)
         if kde_cdf(samples, bandwidth, mid) < alpha:
             lo = mid
@@ -266,20 +269,6 @@ def detect_change_point(
     )
 
 
-@dataclass(frozen=True)
-class MonitorConfig:
-    """Knobs for per-device monitor fitting."""
-
-    p: int = 2
-    f: int = 2
-    r: int = 15
-    alpha: float = 0.99
-    normal_window: int = 60
-    validation_window: int = 20
-    min_lifespan: int = 200
-    breach_fraction_threshold: float = 0.2
-
-
 def statistic_trace(model: MonitorModel, sensors: np.ndarray) -> StatisticSeries:
     """Full statistic series of a device under a fitted monitor.
 
@@ -292,21 +281,18 @@ def statistic_trace(model: MonitorModel, sensors: np.ndarray) -> StatisticSeries
     return compute_statistics(z, e, start_cycle=model.cva.p + 1)
 
 
-def fit_device_monitor(series: EngineSeries, config: MonitorConfig):
+def fit_device_monitor(series: EngineSeries, config: PipelineConfig):
     """Fit a monitor on one device and locate its change point.
 
     The series must already be sensor-selected. Standardizer and CVA are fit
     on the first normal_window cycles, control limits on the training
     statistics, and detection runs on cycles from the monitor start through
-    end of life. Raises FallbackRequired for devices shorter than
-    min_lifespan.
+    end of life. Any device with cycles left to monitor is fitted; the
+    minimum-lifespan fallback is the caller's decision.
 
     Returns (MonitorModel, ChangePointResult).
     """
     k_max = series.k_max
-    if k_max < config.min_lifespan:
-        raise FallbackRequired(series.unit_id, k_max, config.min_lifespan)
-
     tau = config.normal_window + config.validation_window + config.p
     if k_max <= tau:
         raise InsufficientDataError(
@@ -358,7 +344,7 @@ def fit_device_monitor(series: EngineSeries, config: MonitorConfig):
 
 
 def validation_report(
-    monitor: MonitorModel, series: EngineSeries, config: MonitorConfig
+    monitor: MonitorModel, series: EngineSeries, config: PipelineConfig
 ) -> ValidationReport:
     """Validation-window report for a fitted monitor, recomputed from the series."""
     stats = statistic_trace(monitor, series.sensors)

@@ -19,12 +19,7 @@ import numpy as np
 from . import cmapss
 from .config import PipelineConfig
 from .cva import Standardizer, apply_standardizer
-from .errors import (
-    ConfigError,
-    FallbackRequired,
-    InsufficientDataError,
-    IntegrityError,
-)
+from .errors import ConfigError, InsufficientDataError, IntegrityError
 from .labeling import (
     WindowedDataset,
     piecewise_rul_labels,
@@ -34,12 +29,7 @@ from .labeling import (
 )
 from .lstm import TrainConfig, load_checkpoint, predict_batch, save_checkpoint, train
 from .metrics import EvalReport, evaluate_predictions, format_metrics_row
-from .monitoring import (
-    MonitorConfig,
-    MonitorModel,
-    fit_device_monitor,
-    statistic_trace,
-)
+from .monitoring import MonitorModel, fit_device_monitor, statistic_trace
 
 log = logging.getLogger(__name__)
 
@@ -54,37 +44,26 @@ REPORT_COLUMNS = (
     "lambda",
     "cl_t2",
     "cl_q",
+    "flagged",
 )
-
-
-def monitor_config(config: PipelineConfig) -> MonitorConfig:
-    return MonitorConfig(
-        p=config.p,
-        f=config.f,
-        r=config.r,
-        alpha=config.alpha,
-        normal_window=config.normal_window,
-        validation_window=config.validation_window,
-        min_lifespan=config.min_lifespan,
-        breach_fraction_threshold=config.breach_fraction_threshold,
-    )
 
 
 @dataclass(frozen=True)
 class DeviceOutcome:
-    """One engine's detection outcome, monitor included when fitted."""
+    """One engine's detection outcome; a fallback outcome leaves the
+    detection fields at their defaults and carries no monitor."""
 
     unit_id: int
     k_max: int
-    k_t2_cp: int | None
-    k_q_cp: int | None
-    k_cp: int | None
     method: str
-    persistence: int | None
-    cl_t2: float | None
-    cl_q: float | None
-    flagged: bool
-    monitor: MonitorModel | None
+    k_t2_cp: int | None = None
+    k_q_cp: int | None = None
+    k_cp: int | None = None
+    persistence: int | None = None
+    cl_t2: float | None = None
+    cl_q: float | None = None
+    flagged: bool = False
+    monitor: MonitorModel | None = None
 
     def record(self, dataset_id: str) -> dict:
         return {
@@ -98,27 +77,20 @@ class DeviceOutcome:
             "lambda": self.persistence,
             "cl_t2": self.cl_t2,
             "cl_q": self.cl_q,
+            "flagged": self.flagged,
         }
 
 
-def detect_device(series, mon_cfg: MonitorConfig) -> DeviceOutcome:
-    """Fit one engine's monitor; map short/unmonitorable engines to fallback."""
+def detect_device(series, config: PipelineConfig) -> DeviceOutcome:
+    """Fit one engine's monitor. An engine shorter than the minimum lifespan,
+    or too short to monitor at all, gets the fixed-cap fallback instead."""
+    fallback = DeviceOutcome(unit_id=series.unit_id, k_max=series.k_max, method="fallback_cap")
+    if series.k_max < config.min_lifespan:
+        return fallback
     try:
-        monitor, result = fit_device_monitor(series, mon_cfg)
-    except (FallbackRequired, InsufficientDataError):
-        return DeviceOutcome(
-            unit_id=series.unit_id,
-            k_max=series.k_max,
-            k_t2_cp=None,
-            k_q_cp=None,
-            k_cp=None,
-            method="fallback_cap",
-            persistence=None,
-            cl_t2=None,
-            cl_q=None,
-            flagged=False,
-            monitor=None,
-        )
+        monitor, result = fit_device_monitor(series, config)
+    except InsufficientDataError:
+        return fallback
     return DeviceOutcome(
         unit_id=series.unit_id,
         k_max=series.k_max,
@@ -190,8 +162,7 @@ def run_detect(config: PipelineConfig, engines=None, write: bool = True):
     """
     config.validate()
     selection, selected = _selected_train_engines(config, engines)
-    mon_cfg = monitor_config(config)
-    outcomes = [detect_device(s, mon_cfg) for s in selected]
+    outcomes = [detect_device(s, config) for s in selected]
 
     summary = {
         "dataset": config.dataset_id,
@@ -367,8 +338,7 @@ def _load_or_detect(config: PipelineConfig, selected_engines):
                 persistence=record["lambda"],
                 cl_t2=record["cl_t2"],
                 cl_q=record["cl_q"],
-                flagged=False,
-                monitor=None,
+                flagged=record.get("flagged", False),  # absent from older reports
             )
         missing = [s.unit_id for s in selected_engines if s.unit_id not in by_unit]
         if missing:
@@ -380,27 +350,28 @@ def _load_or_detect(config: PipelineConfig, selected_engines):
     return outcomes
 
 
+def read_checkpoint(path):
+    """Load (model, kept sensor indices, pooled standardizer) from a train
+    checkpoint, with one distinct sensor index in 1..21 per model input."""
+    model, meta = load_checkpoint(path)
+    kept = cmapss.check_kept_indices(meta.get("kept_indices"), "checkpoint")
+    pooled = Standardizer(
+        mean=np.asarray(meta["pooled_mean"], dtype=float),
+        std=np.asarray(meta["pooled_std"], dtype=float),
+    )
+    shape = (model.input_dim,)
+    if len(kept) != model.input_dim or not pooled.mean.shape == pooled.std.shape == shape:
+        raise IntegrityError("checkpoint metadata does not match its architecture")
+    return model, kept, pooled
+
+
 def run_evaluate(config: PipelineConfig, checkpoint_path=None, write: bool = True):
     """Score a checkpoint over the test set; returns the EvalReport."""
     config.validate()
     if checkpoint_path is None:
         checkpoint_path = os.path.join(config.out_dir, "checkpoint.npz")
-    model, meta = load_checkpoint(checkpoint_path)
-    kept = meta.get("kept_indices")
-    if kept is None or len(kept) != model.input_dim:
-        raise IntegrityError("checkpoint metadata does not match its architecture")
-    for i, index in enumerate(kept):
-        if type(index) is not int or not 1 <= index <= cmapss.N_SENSORS or index in kept[:i]:
-            raise IntegrityError(
-                f"checkpoint sensor index {index!r} is not a distinct int in 1..{cmapss.N_SENSORS}"
-            )
-    pooled = Standardizer(
-        mean=np.asarray(meta["pooled_mean"], dtype=float),
-        std=np.asarray(meta["pooled_std"], dtype=float),
-    )
-    selection = cmapss.SensorSelection(
-        dataset_id=config.dataset_id, kept_indices=tuple(kept)
-    )
+    model, kept, pooled = read_checkpoint(checkpoint_path)
+    selection = cmapss.SensorSelection(dataset_id=config.dataset_id, kept_indices=kept)
     test_engines, targets = _load_split(config, "test")
     windows = [
         trailing_window(

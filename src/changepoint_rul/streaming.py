@@ -16,16 +16,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cmapss import N_SENSORS
+from .cmapss import N_SENSORS, check_kept_indices
+from .cva import Standardizer, apply_standardizer, project
 from .errors import IntegrityError
-from .lstm import LstmRegressor, load_checkpoint, predict
-from .cva import Standardizer, project
 from .labeling import trailing_window
+from .lstm import LstmRegressor, predict
 from .monitoring import MonitorModel
+from .pipeline import read_checkpoint
 
 STATUS_NORMAL = "normal"
 STATUS_TRANSITION = "transition"
 STATUS_DEGRADING = "degrading"
+
+# Larger readings are rejected as corrupt: once standardized and lagged, their
+# squared statistics can overflow to inf, which strict JSON cannot carry.
+MAX_ABS_READING = 1e100
 
 
 @dataclass
@@ -53,7 +58,6 @@ class StreamMonitor:
         regressor: LstmRegressor | None = None,
         pooled: Standardizer | None = None,
         rul_cap: float = 130.0,
-        max_window: int | None = None,
     ):
         self.monitors = monitors
         self.columns = np.asarray(kept_indices, dtype=int) - 1
@@ -61,7 +65,7 @@ class StreamMonitor:
         self.regressor = regressor
         self.pooled = pooled
         self.rul_cap = rul_cap
-        self.max_window = max_window or (regressor.sequence_length if regressor else 1)
+        self.max_window = regressor.sequence_length if regressor else 1
         self.states: dict = {}
 
     def _reject(self, reason: str, record=None) -> dict:
@@ -75,7 +79,7 @@ class StreamMonitor:
     def process_line(self, line: str):
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # too deep, or an over-long int
             return [self._reject(f"invalid JSON: {exc}")]
         return self.process_record(record)
 
@@ -89,7 +93,7 @@ class StreamMonitor:
             return [self._reject(f"unknown unit {unit}", record)]
         try:
             sensors = np.asarray(record["sensors"], dtype=float)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             return [self._reject("sensors must be numbers", record)]
         if sensors.ndim != 1 or sensors.shape[0] not in (N_SENSORS, self.m):
             return [
@@ -99,8 +103,8 @@ class StreamMonitor:
                     record,
                 )
             ]
-        if not np.isfinite(sensors).all():
-            return [self._reject("sensors must be finite", record)]
+        if not (np.abs(sensors) <= MAX_ABS_READING).all():  # also false for nan
+            return [self._reject(f"sensors must be finite, at most {MAX_ABS_READING:g}", record)]
         if sensors.shape[0] == N_SENSORS:
             sensors = sensors[self.columns]
 
@@ -163,7 +167,7 @@ class StreamMonitor:
             "status": state.status,
         }
         if state.status == STATUS_DEGRADING and self.regressor is not None:
-            x = apply_pooled(self.pooled, np.asarray(state.window))
+            x = apply_standardizer(self.pooled, np.asarray(state.window).T).T
             window = trailing_window(x, self.regressor.sequence_length)
             status_event["rul"] = predict(self.regressor, window, cap=self.rul_cap)
         events.insert(0, status_event)
@@ -175,12 +179,6 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def apply_pooled(pooled: Standardizer | None, rows: np.ndarray) -> np.ndarray:
-    if pooled is None:
-        return rows
-    return (rows - pooled.mean) / pooled.std
-
-
 def load_monitors(monitors_dir):
     """Load the per-unit monitor artifacts written by the detect command."""
     manifest_path = os.path.join(monitors_dir, "manifest.json")
@@ -188,11 +186,16 @@ def load_monitors(monitors_dir):
         raise IntegrityError(f"no monitor manifest at {manifest_path}")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
+    kept = check_kept_indices(manifest.get("kept_indices"), "monitor manifest")
     monitors = {}
     for unit in manifest["units"]:
+        if not _is_int(unit):
+            raise IntegrityError(f"monitor manifest unit {unit!r} is not an int")
         path = os.path.join(monitors_dir, f"unit_{unit:04d}.json")
         with open(path) as fh:
             monitors[unit] = MonitorModel.from_dict(json.load(fh))
+        if len(monitors[unit].cva.standardizer.mean) != len(kept):
+            raise IntegrityError(f"{path} does not monitor the manifest's {len(kept)} sensors")
     return monitors, manifest
 
 
@@ -207,11 +210,12 @@ def run_monitor(
     monitors, manifest = load_monitors(monitors_dir)
     regressor = pooled = None
     if checkpoint_path is not None:
-        regressor, meta = load_checkpoint(checkpoint_path)
-        pooled = Standardizer(
-            mean=np.asarray(meta["pooled_mean"], dtype=float),
-            std=np.asarray(meta["pooled_std"], dtype=float),
-        )
+        regressor, kept, pooled = read_checkpoint(checkpoint_path)
+        if list(kept) != manifest["kept_indices"]:
+            raise IntegrityError(
+                f"checkpoint sensors {list(kept)} differ from the monitor "
+                f"manifest's {manifest['kept_indices']}"
+            )
     stream = StreamMonitor(
         monitors,
         manifest["kept_indices"],
@@ -224,6 +228,6 @@ def run_monitor(
         if not line.strip():
             continue
         for event in stream.process_line(line):
-            out_fh.write(json.dumps(event, sort_keys=True) + "\n")
+            out_fh.write(json.dumps(event, sort_keys=True, allow_nan=False) + "\n")
             n_events += 1
     return n_events

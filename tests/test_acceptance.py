@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from changepoint_rul.config import default_config
+from changepoint_rul.config import PipelineConfig, default_config
 from changepoint_rul.cva import (
     apply_standardizer,
     build_lagged_matrices,
@@ -26,7 +26,6 @@ from changepoint_rul.labeling import piecewise_rul_labels
 from changepoint_rul.lstm import init_regressor, iter_parameters, loss_and_gradients
 from changepoint_rul.metrics import score_term
 from changepoint_rul.monitoring import (
-    MonitorConfig,
     StatisticSeries,
     compute_lambda,
     detect_change_point,
@@ -182,7 +181,7 @@ def test_piecewise_label_shape():
 
 
 def test_synthetic_corpus_detection():
-    cfg = MonitorConfig(p=2, f=2, r=5, alpha=0.99, min_lifespan=200)
+    cfg = PipelineConfig(p=2, f=2, r=5, alpha=0.99, min_lifespan=200)
     within = 0
     for i in range(30):
         k_max = 215 + 6 * i

@@ -1,16 +1,12 @@
-import numpy as np
 import pytest
 
 from changepoint_rul.cmapss import (
     apply_selection,
-    format_engine_rows,
     load_rul_targets,
     parse_cmapss_file,
     select_sensors,
 )
 from changepoint_rul.errors import IntegrityError, ParseError
-
-from synthetic import make_corpus
 
 
 def row(unit, cycle, value=1.0):
@@ -81,17 +77,6 @@ def test_cycles_must_start_at_one():
         parse_cmapss_file(row(1, 2))
 
 
-def test_round_trip_preserves_data():
-    train_text, _, _, _ = make_corpus(n_train=3, n_test=1, seed=5)
-    engines = parse_cmapss_file(train_text)
-    for engine in engines:
-        reparsed = parse_cmapss_file(format_engine_rows(engine))[0]
-        assert reparsed.unit_id == engine.unit_id
-        assert np.array_equal(reparsed.cycles, engine.cycles)
-        assert np.array_equal(reparsed.sensors, engine.sensors)
-        assert np.array_equal(reparsed.op_settings, engine.op_settings)
-
-
 @pytest.mark.parametrize(
     "dataset,excluded,m",
     [
@@ -110,12 +95,6 @@ def test_sensor_selection_tables(dataset, excluded, m):
 
 def test_fd003_matches_fd001_selection():
     assert select_sensors("FD003").kept_indices == select_sensors("FD001").kept_indices
-
-
-def test_selection_override():
-    selection = select_sensors("FD001", excluded=[21])
-    assert selection.m == 20
-    assert 21 not in selection.kept_indices
 
 
 def test_apply_selection_channel_count_and_order():

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy.stats import norm, spearmanr
 
-from changepoint_rul.errors import ConfigError, FallbackRequired, InsufficientDataError
+from changepoint_rul.config import PipelineConfig
+from changepoint_rul.errors import ConfigError, InsufficientDataError
 from changepoint_rul.monitoring import (
-    MonitorConfig,
     StatisticSeries,
     compute_lambda,
     compute_statistics,
@@ -184,7 +184,7 @@ class TestDetectChangePoint:
 class TestValidateNormalWindow:
     def test_all_below_passes(self):
         series = make_engine_series(1, 260, None, seed=20, n_channels=5)
-        cfg = MonitorConfig(r=5)
+        cfg = PipelineConfig(r=5)
         monitor, _ = fit_device_monitor(series, cfg)
         stats = StatisticSeries(t2=np.zeros(20), q=np.zeros(20), start_cycle=61)
         report = validate_normal_window(monitor, stats)
@@ -193,7 +193,7 @@ class TestValidateNormalWindow:
 
     def test_injected_validation_drift_flags(self):
         series = make_engine_series(1, 260, None, seed=21, n_channels=5)
-        cfg = MonitorConfig(r=5)
+        cfg = PipelineConfig(r=5)
         monitor, _ = fit_device_monitor(series, cfg)
         sensors = series.sensors.copy()
         sensors[60:80] += 8.0  # drift through the whole validation window
@@ -205,7 +205,7 @@ class TestValidateNormalWindow:
         flags = []
         for seed in range(8):
             series = make_engine_series(1, 250, None, seed=30 + seed, n_channels=5)
-            cfg = MonitorConfig(r=5)
+            cfg = PipelineConfig(r=5)
             monitor, _ = fit_device_monitor(series, cfg)
             report = validation_report(monitor, series, cfg)
             flags.append(report.flagged)
@@ -214,25 +214,31 @@ class TestValidateNormalWindow:
 
 class TestFitDeviceMonitor:
     def test_short_engine_signals_fallback(self):
+        from changepoint_rul.pipeline import detect_device
+
         series = make_engine_series(9, 150, None, seed=1, n_channels=5)
-        with pytest.raises(FallbackRequired):
-            fit_device_monitor(series, MonitorConfig(r=5, min_lifespan=200))
+        cfg = PipelineConfig(r=5, min_lifespan=200)
+        monitor, _ = fit_device_monitor(series, cfg)  # long enough to monitor
+        assert monitor.persistence >= 0
+        outcome = detect_device(series, cfg)  # but below the minimum lifespan
+        assert outcome.method == "fallback_cap"
+        assert outcome.monitor is None and outcome.k_cp is None and not outcome.flagged
 
     def test_stationary_engine_detects_nothing(self):
         series = make_engine_series(2, 250, None, seed=20, n_channels=5)
-        _, result = fit_device_monitor(series, MonitorConfig(r=5))
+        _, result = fit_device_monitor(series, PipelineConfig(r=5))
         assert result.k_cp is None
         assert result.method == "fallback_cap"
 
     def test_injected_change_point_found(self):
         series = make_engine_series(3, 320, 240, seed=4, n_channels=5)
-        monitor, result = fit_device_monitor(series, MonitorConfig(r=5))
+        monitor, result = fit_device_monitor(series, PipelineConfig(r=5))
         assert result.method == "detected"
         assert abs(result.k_cp - 240) <= monitor.persistence + 5
 
     def test_training_statistics_mostly_below_limits(self):
         series = make_engine_series(4, 260, None, seed=22, n_channels=5)
-        cfg = MonitorConfig(r=5)
+        cfg = PipelineConfig(r=5)
         monitor, _ = fit_device_monitor(series, cfg)
         stats = statistic_trace(monitor, series.sensors).slice_cycles(3, 60)
         frac_t2 = np.mean(stats.t2 < monitor.cl_t2)
@@ -242,7 +248,7 @@ class TestFitDeviceMonitor:
 
     def test_persistence_covers_pre_change_runs(self):
         series = make_engine_series(5, 300, 230, seed=6, n_channels=5)
-        cfg = MonitorConfig(r=5)
+        cfg = PipelineConfig(r=5)
         monitor, result = fit_device_monitor(series, cfg)
         stats = statistic_trace(monitor, series.sensors)
         pre = stats.slice_cycles(3, result.k_cp - 1)
@@ -255,7 +261,7 @@ class TestFitDeviceMonitor:
             k_max = 215 + 11 * i
             k_cp = k_max - (50 + 2 * i)
             series = make_engine_series(i, k_max, k_cp, seed=60 + i, n_channels=5)
-            _, result = fit_device_monitor(series, MonitorConfig(r=5))
+            _, result = fit_device_monitor(series, PipelineConfig(r=5))
             if result.k_cp is not None:
                 lifespans.append(k_max)
                 points.append(result.k_cp)
@@ -267,7 +273,7 @@ class TestFitDeviceMonitor:
         from changepoint_rul.monitoring import MonitorModel
 
         series = make_engine_series(6, 260, 210, seed=8, n_channels=5)
-        monitor, _ = fit_device_monitor(series, MonitorConfig(r=5))
+        monitor, _ = fit_device_monitor(series, PipelineConfig(r=5))
         clone = MonitorModel.from_dict(monitor.to_dict())
         assert clone.cl_t2 == monitor.cl_t2
         assert clone.persistence == monitor.persistence

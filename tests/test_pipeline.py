@@ -1,13 +1,17 @@
+import io
 import json
 import os
+import shutil
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from changepoint_rul.cli import main
 from changepoint_rul.config import default_config
 from changepoint_rul.metrics import evaluate_predictions
 from changepoint_rul.pipeline import (
+    _load_or_detect,
     _load_split,
     constant_cap_report,
     run_detect,
@@ -70,11 +74,24 @@ class TestDetect:
         report = json.load(open(os.path.join(cfg.out_dir, "change_points.json")))
         assert len(report["engines"]) == 12
         csv_lines = open(os.path.join(cfg.out_dir, "change_points.csv")).read().splitlines()
-        assert csv_lines[0] == "dataset,unit,k_max,k_t2_cp,k_q_cp,k_cp,method,lambda,cl_t2,cl_q"
+        assert csv_lines[0] == (
+            "dataset,unit,k_max,k_t2_cp,k_q_cp,k_cp,method,lambda,cl_t2,cl_q,flagged"
+        )
         assert len(csv_lines) == 13
         monitors = os.listdir(os.path.join(cfg.out_dir, "monitors"))
         fitted = [o for o in outcomes if o.monitor is not None]
         assert len([m for m in monitors if m.startswith("unit_")]) == len(fitted)
+
+    def test_flagged_persisted_and_read_back(self, detect_run, tmp_path):
+        cfg, outcomes, _, _ = detect_run
+        report = json.load(open(os.path.join(cfg.out_dir, "change_points.json")))
+        assert [r["flagged"] for r in report["engines"]] == [o.flagged for o in outcomes]
+        csv_rows = open(os.path.join(cfg.out_dir, "change_points.csv")).read().splitlines()[1:]
+        assert [r.rsplit(",", 1)[1] for r in csv_rows] == [str(o.flagged) for o in outcomes]
+        report["engines"][0]["flagged"] = True
+        (tmp_path / "change_points.json").write_text(json.dumps(report))
+        reloaded = _load_or_detect(replace(cfg, out_dir=str(tmp_path)), outcomes)
+        assert [o.flagged for o in reloaded] == [True] + [o.flagged for o in outcomes[1:]]
 
     def test_traces_exported(self, detect_run):
         cfg, outcomes, _, _ = detect_run
@@ -181,6 +198,18 @@ class TestEvaluate:
         save_checkpoint(model, path, meta=bad_meta)
         with pytest.raises(IntegrityError):
             run_evaluate(cfg, checkpoint_path=str(path), write=False)
+
+    def test_pooled_standardizer_mismatch_rejected(self, trained_run, tmp_path, capsys):
+        from changepoint_rul.errors import IntegrityError
+        from changepoint_rul.lstm import save_checkpoint
+
+        cfg, model, _, meta = trained_run
+        path = tmp_path / "bad.npz"
+        save_checkpoint(model, path, meta=dict(meta, pooled_std=meta["pooled_std"][:3]))
+        with pytest.raises(IntegrityError, match="does not match its architecture"):
+            run_evaluate(cfg, checkpoint_path=str(path), write=False)
+        argv = ["evaluate", "--data-dir", cfg.data_dir, "--out-dir", str(tmp_path)]
+        assert main(argv + ["--checkpoint", str(path)]) == 2
 
     @pytest.mark.parametrize(
         "kept,bad",
@@ -310,3 +339,107 @@ class TestCli:
         ruls = [e for e in lines if e["type"] == "status" and "rul" in e]
         assert ruls, "expected RUL estimates after the change point"
         assert all(0.0 <= e["rul"] <= 130.0 for e in ruls)
+
+    @pytest.fixture
+    def one_record(self, corpus, detect_run, tmp_path):
+        """Monitors dir of the detect run plus a one-record stream of a fitted unit."""
+        from changepoint_rul.cmapss import parse_cmapss_file, train_file
+
+        data_dir, _ = corpus
+        detect_cfg, outcomes, _, _ = detect_run
+        unit = [o for o in outcomes if o.monitor is not None][0].unit_id
+        series = parse_cmapss_file(open(train_file(data_dir, "FD001")).read())[unit - 1]
+        record = {"unit": unit, "cycle": 1, "sensors": series.sensors[0].tolist()}
+        stream_path = tmp_path / "stream.jsonl"
+        stream_path.write_text(json.dumps(record) + "\n")
+        return os.path.join(detect_cfg.out_dir, "monitors"), str(stream_path)
+
+    @pytest.mark.parametrize(
+        "kept,match",
+        [
+            ([2, 3, 4, 6, 7, 8, 9, 11, 12, 14, 15, 17, 20, 21], "differ from the monitor"),
+            ([30] * 14, "sensor index 30 "),
+            (None, "differ from the monitor"),  # a 16-input FD002 checkpoint
+        ],
+        ids=["other_sensors", "index_above_21", "sixteen_inputs"],
+    )
+    def test_monitor_rejects_checkpoint_off_manifest(
+        self, trained_run, one_record, tmp_path, capsys, kept, match
+    ):
+        from changepoint_rul.cmapss import select_sensors
+        from changepoint_rul.errors import IntegrityError
+        from changepoint_rul.lstm import init_regressor, save_checkpoint
+        from changepoint_rul.streaming import run_monitor
+
+        _, model, _, meta = trained_run
+        meta = dict(meta, kept_indices=kept)
+        if kept is None:
+            model = init_regressor(16, (4,), (), sequence_length=30)
+            meta.update(
+                kept_indices=list(select_sensors("FD002").kept_indices),
+                pooled_mean=[0.0] * 16,
+                pooled_std=[1.0] * 16,
+            )
+        path = str(tmp_path / "other.npz")
+        save_checkpoint(model, path, meta=meta)
+        monitors_dir, stream_path = one_record
+        lines = iter(open(stream_path).read().splitlines())
+        with pytest.raises(IntegrityError, match=match):
+            run_monitor(monitors_dir, lines, io.StringIO(), checkpoint_path=path)
+        assert next(lines, None) is not None  # raised before the first record
+        argv = ["monitor", "--monitors", monitors_dir, "--input", stream_path]
+        assert main(argv + ["--checkpoint", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and match in err
+
+    @pytest.mark.parametrize(
+        "patch,match",
+        [
+            ({"kept_indices": [30] * 14}, "sensor index 30 "),
+            ({"kept_indices": list(range(1, 14))}, "manifest's 13 sensors"),
+            ({"units": ["1"]}, "unit '1' is not an int"),
+        ],
+        ids=["index_above_21", "thirteen_sensors", "text_unit"],
+    )
+    def test_monitor_rejects_bad_manifest(self, one_record, tmp_path, capsys, patch, match):
+        monitors_dir, stream_path = one_record
+        copy = tmp_path / "monitors"
+        shutil.copytree(monitors_dir, copy)
+        manifest = json.loads((copy / "manifest.json").read_text())
+        (copy / "manifest.json").write_text(json.dumps(dict(manifest, **patch)))
+        assert main(["monitor", "--monitors", str(copy), "--input", stream_path]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and match in err
+
+
+def test_stream_reproduces_offline_statistic_trace(corpus, detect_run):
+    """Every raw row of a detected train engine streamed through the written
+    monitors gives the offline statistic trace's t2/q for each cycle."""
+    from changepoint_rul.cmapss import (
+        apply_selection,
+        parse_cmapss_file,
+        select_sensors,
+        train_file,
+    )
+    from changepoint_rul.monitoring import statistic_trace
+    from changepoint_rul.streaming import StreamMonitor, load_monitors
+
+    data_dir, _ = corpus
+    cfg, outcomes, _, _ = detect_run
+    outcome = [o for o in outcomes if o.method == "detected"][0]
+    series = parse_cmapss_file(open(train_file(data_dir, "FD001")).read())[outcome.unit_id - 1]
+    monitors, manifest = load_monitors(os.path.join(cfg.out_dir, "monitors"))
+    stream = StreamMonitor(monitors, manifest["kept_indices"])
+    status = []
+    for i, cycle in enumerate(series.cycles):
+        line = json.dumps(
+            {"unit": series.unit_id, "cycle": int(cycle), "sensors": series.sensors[i].tolist()}
+        )
+        status.append(stream.process_line(line)[0])
+    selected = apply_selection(series, select_sensors("FD001"))
+    trace = statistic_trace(outcome.monitor, selected.sensors)
+    assert [e["type"] for e in status] == ["status"] * series.k_max
+    assert all(e["t2"] is None and e["q"] is None for e in status[: trace.start_cycle - 1])
+    for key, offline in (("t2", trace.t2), ("q", trace.q)):
+        online = [e[key] for e in status[trace.start_cycle - 1 :]]
+        np.testing.assert_allclose(online, offline, rtol=1e-9, atol=0.0)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from changepoint_rul.config import PipelineConfig
 from changepoint_rul.cva import CvaModel, Standardizer
 from changepoint_rul.monitoring import MonitorModel
 from changepoint_rul.streaming import StreamMonitor
@@ -138,6 +139,11 @@ class TestRecordValidation:
             {"unit": 1, "cycle": True, "sensors": [0.0]},
             {"unit": 1, "cycle": 1, "sensors": [float("nan")]},
             {"unit": 1, "cycle": 1, "sensors": [float("inf")]},
+            {"unit": 1, "cycle": 1, "sensors": [10**400]},
+            {"unit": 1, "cycle": 1, "sensors": [1e300]},
+            "[" * 100_000,
+            '{"unit": 1' + "0" * 5000 + ', "cycle": 1, "sensors": [0.0]}',
+            '{"unit": 1, "cycle": 1, "sensors": [1' + "0" * 5000 + "]}",
         ],
         ids=[
             "text-sensor",
@@ -149,11 +155,19 @@ class TestRecordValidation:
             "bool-cycle",
             "nan-sensor",
             "inf-sensor",
+            "int-sensor-beyond-float",
+            "huge-sensor",
+            "json-nested-too-deep",
+            "json-int-unit-too-long",
+            "json-int-sensor-too-long",
         ],
     )
     def test_malformed_values_rejected(self, record):
         sm = StreamMonitor({1: scalar_monitor()}, kept_indices=[1])
-        events = sm.process_record(record)
+        if isinstance(record, str):
+            events = sm.process_line(record)
+        else:
+            events = sm.process_record(record)
         assert [e["type"] for e in events] == ["rejected"]
         json.dumps(events, allow_nan=False)
         assert sm.states == {}  # a rejected record leaves no device state behind
@@ -161,10 +175,10 @@ class TestRecordValidation:
 
 class TestInjectedShift:
     def test_event_within_persistence_window_of_shift(self):
-        from changepoint_rul.monitoring import MonitorConfig, fit_device_monitor
+        from changepoint_rul.monitoring import fit_device_monitor
 
         series = make_engine_series(1, 260, None, seed=21, n_channels=5)
-        monitor, result = fit_device_monitor(series, MonitorConfig(r=5))
+        monitor, result = fit_device_monitor(series, PipelineConfig(r=5))
         assert result.k_cp is None
 
         shift_at = 150
