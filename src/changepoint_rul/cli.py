@@ -118,7 +118,10 @@ def main(argv=None) -> int:
             run_evaluate(config, checkpoint_path=args.checkpoint)
         elif args.command == "monitor":
             config = _build_config(args)
-            source = nullcontext(sys.stdin) if args.input == "-" else open(args.input)
+            # as on stdin, undecodable bytes reach process_line as surrogates
+            source = nullcontext(sys.stdin) if args.input == "-" else open(
+                args.input, encoding="utf-8", errors="surrogateescape"
+            )
             with source as fh:
                 n = run_monitor(
                     args.monitors,

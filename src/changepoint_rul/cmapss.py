@@ -1,15 +1,16 @@
 """C-MAPSS text-log ingestion and dataset-specific sensor selection.
 
-Input files are whitespace-delimited with 26 positional columns per row:
-unit id, cycle, 3 operating settings, 21 sensor channels. No headers.
-Trailing whitespace and blank lines are tolerated (the raw distribution
-contains trailing spaces).
+Input files are ASCII with 26 space- or tab-separated positional columns
+per row: unit id, cycle, 3 operating settings, 21 sensor channels. No
+headers. Trailing whitespace, blank lines and CRLF line ends are tolerated
+(the raw distribution contains trailing spaces).
 """
 
 from __future__ import annotations
 
 import math
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,39 +90,34 @@ class RulTarget:
 
 
 def parse_cmapss_file(text: str, dataset_id: str = "FD001") -> list[EngineSeries]:
-    """Parse a train/test log into per-engine series, grouped and validated.
+    """Parse a train/test log, in one ``np.loadtxt`` call, into per-engine series.
 
-    Raises ParseError with the offending row number for malformed or
-    non-finite rows, and IntegrityError naming the unit when its cycles are
-    not the contiguous range 1..k_max.
+    Raises ParseError naming the first row off the module docstring's grammar,
+    non-finite, or with a unit id that is not a positive integer, and
+    IntegrityError naming the unit when its cycles are not 1..k_max.
     """
     _check_dataset_id(dataset_id)
-    units: dict[int, list] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        fields = line.split()
-        if not fields:
-            continue
-        if len(fields) != N_COLUMNS:
-            raise ParseError(
-                f"row {lineno}: expected {N_COLUMNS} columns, got {len(fields)}"
-            )
+    rows = text.split("\n")
+    table = None
+    # numpy would also split fields on the ASCII whitespace other than space and tab
+    if text.isascii() and not any(c in text for c in "\v\f\x1c\x1d\x1e\x1f"):
         try:
-            values = [float(v) for v in fields]
-        except ValueError as exc:
-            raise ParseError(f"row {lineno}: non-numeric field ({exc})") from None
-        if not (values[0] > 0 and values[0].is_integer()):
-            raise ParseError(f"row {lineno}: unit id must be a positive integer")
-        unit = int(values[0])
-        units.setdefault(unit, []).append(values[1:])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a log with no rows
+                table = np.loadtxt(rows, comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if table is not None and not len(table):
+        return []
+    ok = table is not None and table.shape[1] == N_COLUMNS and np.isfinite(table).all()
+    if not (ok and np.all((table[:, 0] > 0) & (table[:, 0] % 1 == 0))):
+        raise _row_error(rows)
 
+    table = table[np.lexsort((table[:, 1], table[:, 0]))]
     engines = []
-    for unit in sorted(units):
-        rows = np.asarray(units[unit], dtype=float)
-        if not np.isfinite(rows).all():
-            raise ParseError(f"row {_first_non_finite_row(text)}: non-finite value")
-        order = np.argsort(rows[:, 0], kind="stable")
-        rows = rows[order]
-        cycles = rows[:, 0]
+    for block in np.split(table, np.flatnonzero(np.diff(table[:, 0])) + 1):
+        unit = int(block[0, 0])
+        cycles = block[:, 1]
         if np.any(cycles != np.round(cycles)):
             raise IntegrityError(f"unit {unit}: non-integer cycle index")
         cycles = cycles.astype(int)
@@ -134,18 +130,33 @@ def parse_cmapss_file(text: str, dataset_id: str = "FD001") -> list[EngineSeries
                 dataset_id=dataset_id,
                 unit_id=unit,
                 cycles=cycles,
-                op_settings=rows[:, 1 : 1 + N_OP_SETTINGS],
-                sensors=rows[:, 1 + N_OP_SETTINGS :],
+                op_settings=block[:, 2 : 2 + N_OP_SETTINGS],
+                sensors=block[:, 2 + N_OP_SETTINGS :],
             )
         )
     return engines
 
 
-def _first_non_finite_row(text: str) -> int:
-    """Line number of the first row holding nan or inf; the error path only."""
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not all(math.isfinite(float(v)) for v in line.split()):
-            return lineno
+def _row_error(rows: list) -> ParseError:
+    """The ParseError for the first of the ``\n``-split rows that the whole-log
+    parse rejects, walking them as ``np.loadtxt`` does; the error path only."""
+    for lineno, row in enumerate(rows, start=1):
+        fields = [f for f in row.removesuffix("\r").replace("\t", " ").split(" ") if f]
+        if fields and len(fields) != N_COLUMNS:
+            return ParseError(f"row {lineno}: expected {N_COLUMNS} columns, got {len(fields)}")
+        for field in fields:  # numpy converts as float() does, but not non-ASCII or "_"
+            if not (field.isascii() and field.isprintable() and "_" not in field):
+                return ParseError(f"row {lineno}: non-numeric field {field!r}")
+            try:
+                float(field)
+            except ValueError:
+                return ParseError(f"row {lineno}: non-numeric field {field!r}")
+        values = [float(f) for f in fields]
+        if not all(map(math.isfinite, values)):
+            return ParseError(f"row {lineno}: non-finite value")
+        if values and not (values[0] > 0 and values[0].is_integer()):
+            return ParseError(f"row {lineno}: unit id must be a positive integer")
+    raise AssertionError("the log was rejected as a whole but every row parses")
 
 
 def select_sensors(dataset_id: str) -> SensorSelection:

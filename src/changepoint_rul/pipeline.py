@@ -13,6 +13,7 @@ import json
 import logging
 import os
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -118,20 +119,20 @@ def _load_split(config: PipelineConfig, split: str):
     entries for the kept units; for ``"train"`` they are None, so detection
     needs only the train file.
     """
+    def read(path):  # undecodable bytes become surrogates, which the parsers reject
+        return Path(path).read_text(encoding="utf-8", errors="surrogateescape")
+
     path = (cmapss.train_file if split == "train" else cmapss.test_file)(
         config.data_dir, config.dataset_id
     )
-    with open(path) as fh:
-        engines = cmapss.parse_cmapss_file(fh.read(), config.dataset_id)
+    engines = cmapss.parse_cmapss_file(read(path), config.dataset_id)
     kept = _sorted_subset(engines, config.subset)
     if split == "train":
         return kept, None
     if not kept:
         raise InsufficientDataError(f"{path} holds no engines")
-    with open(cmapss.rul_file(config.data_dir, config.dataset_id)) as fh:
-        targets = cmapss.load_rul_targets(
-            fh.read(), config.dataset_id, expected_count=len(engines)
-        )
+    rul_text = read(cmapss.rul_file(config.data_dir, config.dataset_id))
+    targets = cmapss.load_rul_targets(rul_text, config.dataset_id, expected_count=len(engines))
     unit_ids = {s.unit_id for s in kept}
     return kept, [t for t in targets if t.unit_id in unit_ids]
 
@@ -196,8 +197,8 @@ def run_detect(config: PipelineConfig, engines=None, write: bool = True):
             if outcome.monitor is None:
                 continue
             path = os.path.join(monitors_dir, f"unit_{outcome.unit_id:04d}.json")
-            with open(path, "w") as fh:
-                json.dump(outcome.monitor.to_dict(), fh, sort_keys=True)
+            with open(path, "w") as fh:  # dumps takes the C encoder, dump never does
+                fh.write(json.dumps(outcome.monitor.to_dict(), sort_keys=True))
         if config.export_traces:
             _write_traces(config, outcomes, selected)
 
@@ -324,22 +325,17 @@ def run_train(config: PipelineConfig, engines=None, outcomes=None, write: bool =
 def _load_or_detect(config: PipelineConfig, selected_engines):
     report_path = os.path.join(config.out_dir, "change_points.json")
     if os.path.exists(report_path):
-        with open(report_path) as fh:
-            payload = json.load(fh)
-        by_unit = {}
-        for record in payload["engines"]:
-            by_unit[record["unit"]] = DeviceOutcome(
-                unit_id=record["unit"],
-                k_max=record["k_max"],
-                k_t2_cp=record["k_t2_cp"],
-                k_q_cp=record["k_q_cp"],
-                k_cp=record["k_cp"],
-                method=record["method"],
-                persistence=record["lambda"],
-                cl_t2=record["cl_t2"],
-                cl_q=record["cl_q"],
-                flagged=record.get("flagged", False),  # absent from older reports
-            )
+        by_unit, renamed = {}, {"unit": "unit_id", "lambda": "persistence"}
+        try:
+            with open(report_path, encoding="utf-8") as fh:
+                payload = json.load(fh)
+            for record in payload["engines"]:  # record() inverted, dataset aside
+                by_unit[record["unit"]] = DeviceOutcome(
+                    **{renamed.get(k, k): record[k] for k in REPORT_COLUMNS[1:-1]},
+                    flagged=record.get("flagged", False),  # absent from older reports
+                )
+        except (ValueError, KeyError, TypeError) as exc:  # bad JSON, keys or types
+            raise IntegrityError(f"change-point report at {report_path} is corrupt: {exc!r}") from None
         missing = [s.unit_id for s in selected_engines if s.unit_id not in by_unit]
         if missing:
             raise IntegrityError(

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from changepoint_rul.cmapss import (
@@ -6,7 +7,13 @@ from changepoint_rul.cmapss import (
     parse_cmapss_file,
     select_sensors,
 )
-from changepoint_rul.errors import IntegrityError, ParseError
+from changepoint_rul.errors import IntegrityError, ParseError, PipelineError
+
+try:
+    from hypothesis import given
+    from hypothesis import strategies as st
+except ImportError:  # only the property tests at the end need Hypothesis
+    st = None
 
 
 def row(unit, cycle, value=1.0):
@@ -64,6 +71,36 @@ def test_non_numeric_field_names_row():
 def test_non_finite_value_names_row(text, bad_row):
     with pytest.raises(ParseError, match=f"row {bad_row}"):
         parse_cmapss_file(text)
+
+
+def with_last(text, field):
+    return text.rsplit(" ", 1)[0] + " " + field
+
+
+@pytest.mark.parametrize(
+    "text,bad_row",
+    [
+        (row(1, 1) + "\n" + row(1, 2).replace(" ", "\xa0"), 2),  # no-break space
+        (row(1, 1).replace(" ", "\u2028", 1), 1),  # line separator
+        (row(1, 1).replace(" ", "\f", 1), 1),  # form feed
+        (row(1, 1) + "\n" + with_last(row(1, 2), "1_000"), 2),
+        (with_last(row(1, 1), "\u0661\u0662"), 1),  # Arabic-Indic digits
+        (row(1, 1) + "\r" + row(1, 2) + "\r\n", 1),  # lone carriage return
+        (row(1, 1) + "\r\n" + with_last(row(1, 2), "\udcff1"), 2),  # undecodable byte
+        ("\n\n" + with_last(row(1, 1), "0x1p3"), 3),
+    ],
+    ids=["nbsp", "u2028", "form_feed", "underscore", "arabic_indic", "lone_cr", "surrogate", "hex"],
+)
+def test_malformed_row_names_row(text, bad_row):
+    with pytest.raises(ParseError, match=f"^row {bad_row}: "):
+        parse_cmapss_file(text)
+
+
+def test_crlf_tabs_and_sign_forms_parse_as_float_does():
+    fields = row(1, 1).split()
+    fields[5:9] = ["+1.5e3", "-.25", "7.", "1E-2"]
+    engines = parse_cmapss_file("\t".join(fields) + " \r\n\r\n")
+    assert engines[0].sensors[0, :4].tolist() == [1500.0, -0.25, 7.0, 0.01]
 
 
 def test_cycle_gap_names_unit():
@@ -163,3 +200,91 @@ def test_real_dataset_engine_counts(dataset, n_train, n_test):
     assert len(train) == n_train
     assert len(test) == n_test
     assert len(targets) == n_test
+
+
+def reference_parse(text):
+    """Per-row reference: rows split on newlines less one trailing carriage
+    return, fields split on spaces and tabs, each field through float()."""
+    units = {}
+    for line in text.split("\n"):
+        values = [float(f) for f in line.removesuffix("\r").replace("\t", " ").split(" ") if f]
+        if values:
+            units.setdefault(int(values[0]), []).append(values[1:])
+    return {u: np.array(sorted(rows, key=lambda r: r[0])) for u, rows in sorted(units.items())}
+
+
+if st is not None:
+    INTEGER_FORMS = [str, "{}.0".format, "+{}".format, "{}e0".format, "{}0E-1".format]
+    FLOAT_FORMS = [repr, "{:+.17g}".format, "{:.6e}".format, "{:E}".format, "{:.3f}".format]
+
+    @st.composite
+    def well_formed_logs(draw):
+        """A valid log: shuffled rows, blank rows, CRLF or LF ends, space or
+        tab separators, padding, and sign and exponent forms of every literal."""
+        lifespans = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+        units = draw(st.lists(st.integers(1, 10**6), min_size=len(lifespans),
+                              max_size=len(lifespans), unique=True))
+        lines = []
+        for unit, k_max in zip(units, lifespans):
+            for cycle in range(1, k_max + 1):
+                ints = draw(st.sampled_from(INTEGER_FORMS))
+                floats = draw(st.sampled_from(FLOAT_FORMS))
+                values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                       min_size=24, max_size=24))
+                sep = draw(st.sampled_from([" ", "\t", "  ", " \t"]))
+                pad = draw(st.sampled_from(["", " ", "\t "]))
+                fields = [ints(unit), ints(cycle)] + [floats(v) for v in values]
+                lines.append(pad + sep.join(fields) + pad)
+        blanks = draw(st.lists(st.sampled_from(["", " ", "\t"]), max_size=3))
+        lines = draw(st.permutations(lines + blanks))
+        ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+        return "".join(line + end for line, end in zip(lines, ends))
+
+    CORRUPTIONS = [
+        lambda f: f[:-1],
+        lambda f: f + ["1"],
+        lambda f: f[:-1] + ["abc"],
+        lambda f: f[:-1] + ["nan"],
+        lambda f: f[:-1] + ["-inf"],
+        lambda f: f[:-1] + ["1_000"],
+        lambda f: f[:-1] + ["\u0663"],
+        lambda f: ["0"] + f[1:],
+        lambda f: ["2.5"] + f[1:],
+        lambda f: ["\udcfe" + f[0]] + f[1:],
+        lambda f: ["\xa0".join(f)],
+        lambda f: [" ".join(f) + "\r" + " ".join(f)],
+    ]
+
+    @given(well_formed_logs())
+    def test_well_formed_log_matches_reference_bit_for_bit(text):
+        engines = parse_cmapss_file(text)
+        expected = reference_parse(text)
+        assert [e.unit_id for e in engines] == list(expected)
+        for engine in engines:
+            rows = expected[engine.unit_id]
+            assert engine.cycles.tolist() == rows[:, 0].astype(int).tolist()
+            assert engine.op_settings.tobytes() == rows[:, 1:4].tobytes()
+            assert engine.sensors.tobytes() == rows[:, 4:].tobytes()
+
+    @given(well_formed_logs(), st.integers(0, 10**6), st.sampled_from(CORRUPTIONS))
+    def test_one_corrupted_row_is_named(text, pick, corrupt):
+        lines = text.split("\n")
+        filled = [i for i, line in enumerate(lines) if line.strip()]
+        i = filled[pick % len(filled)]
+        lines[i] = " ".join(corrupt(lines[i].split()))
+        with pytest.raises(ParseError, match=f"^row {i + 1}: "):
+            parse_cmapss_file("\n".join(lines))
+
+    @given(
+        st.text()
+        | st.text(alphabet=st.sampled_from(list("019.eE+-naif_x \t\r\n\f\xa0\u2028\u0661")))
+        | st.tuples(well_formed_logs(), st.integers(0, 10**6), st.text(max_size=3)).map(
+            lambda t: t[0][: t[1] % (len(t[0]) + 1)] + t[2] + t[0][t[1] % (len(t[0]) + 1) :]
+        )
+    )
+    def test_arbitrary_text_raises_only_pipeline_errors(text):
+        try:
+            engines = parse_cmapss_file(text)
+        except PipelineError:
+            return
+        assert [e.unit_id for e in engines] == list(reference_parse(text))

@@ -392,6 +392,48 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and match in err
 
+    def test_monitor_input_file_with_undecodable_bytes_is_rejected(
+        self, one_record, tmp_path, capsys
+    ):
+        monitors_dir, _ = one_record
+        stream_path = tmp_path / "bad.jsonl"
+        stream_path.write_bytes(b'\xff\xfe{"unit": 1}\n')
+        assert main(["monitor", "--monitors", monitors_dir, "--input", str(stream_path)]) == 0
+        events = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [e["type"] for e in events] == ["rejected"]
+        assert events[0]["reason"].startswith("invalid JSON")
+
+    @pytest.mark.parametrize("kind", ["train", "test", "RUL"])
+    def test_undecodable_data_file_names_row(self, corpus, trained_run, tmp_path, capsys, kind):
+        data_dir, _ = corpus
+        copy = tmp_path / "data"
+        shutil.copytree(data_dir, copy)
+        path = copy / f"{kind}_FD001.txt"
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = b"\xff\xfe" + lines[2]
+        path.write_bytes(b"\n".join(lines))
+        argv = ["--data-dir", str(copy), "--out-dir", str(tmp_path / "out")]
+        if kind == "train":
+            argv = ["detect"] + argv
+        else:
+            checkpoint = os.path.join(trained_run[0].out_dir, "checkpoint.npz")
+            argv = ["evaluate", "--checkpoint", checkpoint] + argv
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: row 3: non-numeric")
+
+    @pytest.mark.parametrize(
+        "report",
+        ['{"summary": {}, "engines": [{"unit": 1, "k_m', '{"engines": [{"unit": 1}]}'],
+        ids=["truncated", "no_k_max"],
+    )
+    def test_corrupt_change_point_report_rejected(self, corpus, tmp_path, capsys, report):
+        data_dir, _ = corpus
+        report_path = tmp_path / "change_points.json"
+        report_path.write_text(report)
+        assert main(["train", "--data-dir", data_dir, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"change-point report at {report_path} is corrupt" in err
+
     @pytest.mark.parametrize(
         "patch,match",
         [
