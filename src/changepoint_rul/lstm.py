@@ -1,10 +1,18 @@
 """Stacked LSTM regressor with explicit backpropagation through time.
 
-Pure numpy, float64. A window of shape (L, m) runs through the stacked
-recurrence; the final top-layer hidden state feeds a dense head that emits
-the RUL estimate. Inter-layer dropout is inverted (scaled at train time) so
+Pure numpy. A window of shape (L, m) runs through the stacked recurrence;
+the final top-layer hidden state feeds a dense head that emits the RUL
+estimate. Inter-layer dropout is inverted (scaled at train time) so
 inference needs no rescaling. Everything is deterministic for a fixed seed
 and single-threaded execution.
+
+Every op follows the parameters' dtype. ``init_regressor`` draws float64
+weights, so the seeded draws and the float64 finite-difference gradient
+checks do not depend on how a model is trained; ``train`` casts the new
+model to float32 before its first batch, as the reference Keras model
+trained. Windows and targets are cast to the weights' dtype (a finite value
+beyond float32's range is a NumericError) and only the loss is reduced in
+float64.
 
 Each layer stores its gates fused: ``wx`` (4h, d), ``wh`` (4h, h) and ``b``
 (4h,), row blocks in gate order (input, forget, output, candidate), so the
@@ -13,14 +21,15 @@ three sigmoid gates form one contiguous slab. Activations are time-major,
 recurrence. Backward keeps only ``dz @ wh`` inside the time loop, writes each
 step's gate gradient over the cached gate activations, and forms the weight,
 bias and input gradients as single GEMMs after the loop (Appleyard et al.,
-arXiv:1604.01946). Checkpoints are version 2 and hold the fused arrays;
-version-1 files, which hold one array per gate, still load.
+arXiv:1604.01946). Checkpoints are version 2 and hold the fused arrays,
+each loaded back in its stored dtype (all float32 or all float64); version-1
+files, which hold one array per gate, still load.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,6 +79,10 @@ class LstmRegressor:
     @property
     def hidden_sizes(self) -> tuple:
         return tuple(layer.hidden_size for layer in self.layers)
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.head_w.dtype
 
 
 def _init_layer(d_in: int, h: int, rng: np.random.Generator) -> LstmLayer:
@@ -131,6 +144,26 @@ def iter_parameters(model: LstmRegressor):
     return out + [("head.w", model.head_w), ("head.b", model.head_b)]
 
 
+def _with_parameters(model: LstmRegressor, arrays: dict) -> LstmRegressor:
+    """model's architecture holding the named arrays of iter_parameters."""
+    layers = [
+        LstmLayer(*(arrays[f"layer{idx}.{kind}"] for kind in ("wx", "wh", "b")))
+        for idx in range(len(model.layers))
+    ]
+    return replace(model, layers=layers, head_w=arrays["head.w"], head_b=arrays["head.b"])
+
+
+def _cast(values, dtype, what: str) -> np.ndarray:
+    """values as an array of dtype; a finite value beyond its range raises."""
+    values = np.asarray(values)
+    if values.dtype != dtype:
+        values = np.asarray(values, dtype=float)
+        if np.any(np.isfinite(values) & (np.abs(values) > np.finfo(dtype).max)):
+            raise NumericError(f"{what} hold a finite value beyond the {dtype} range")
+        values = values.astype(dtype, copy=False)
+    return values
+
+
 def _sigmoid_(x):
     """Logistic sigmoid in place, as 0.5 * (1 + tanh(x / 2))."""
     x *= 0.5
@@ -146,7 +179,8 @@ def _forward_batch(model: LstmRegressor, x: np.ndarray, training: bool, rng, kee
     backward pass; with keep_cache=False it stays empty and each layer's
     buffers are freed as soon as the next layer has read them.
     """
-    x = np.asarray(x, dtype=float)
+    dtype = model.dtype
+    x = _cast(x, dtype, "windows")
     if x.ndim != 3 or x.shape[2] != model.input_dim:
         raise ShapeError(
             f"window batch of shape {x.shape} does not match input dim {model.input_dim}"
@@ -163,17 +197,18 @@ def _forward_batch(model: LstmRegressor, x: np.ndarray, training: bool, rng, kee
                     raise ConfigError("training-mode forward with dropout needs an rng")
                 keep = 1.0 - ratio
                 # drawn as (B, L, d), so the rng stream does not depend on the layout
-                mask = (rng.random((batch, steps, current.shape[2])) < keep) / keep
+                mask = (rng.random((batch, steps, current.shape[2])) < keep).astype(dtype)
+                mask /= keep
                 mask = mask.transpose(1, 0, 2)
                 current = current * mask  # C-contiguous, time-major
         h = layer.hidden_size
         gates = (current.reshape(steps * batch, -1) @ layer.wx.T).reshape(steps, batch, 4 * h)
         gates += layer.b
-        hidden = np.empty((steps, batch, h))
+        hidden = np.empty((steps, batch, h), dtype)
         if keep_cache:
-            cells = np.empty((steps, batch, h))
-            cell_tanh = np.empty((steps, batch, h))
-        c = np.zeros((batch, h))
+            cells = np.empty((steps, batch, h), dtype)
+            cell_tanh = np.empty((steps, batch, h), dtype)
+        c = np.zeros((batch, h), dtype)
         for t in range(steps):
             z = gates[t]  # pre-activations in, gate activations out
             if t:
@@ -265,8 +300,8 @@ def loss_and_gradients(model: LstmRegressor, windows: np.ndarray, targets: np.nd
     Dropout is active when an rng is supplied; pass a freshly seeded
     generator to make the sampled masks reproducible.
     """
-    windows = np.asarray(windows, dtype=float)
-    targets = np.asarray(targets, dtype=float).ravel()
+    windows = _cast(windows, model.dtype, "windows")
+    targets = _cast(targets, model.dtype, "targets").ravel()
     if windows.ndim != 3 or windows.shape[0] != targets.shape[0]:
         raise IntegrityError(
             f"batch of {windows.shape} windows does not pair with {targets.shape} targets"
@@ -276,7 +311,7 @@ def loss_and_gradients(model: LstmRegressor, windows: np.ndarray, targets: np.nd
     yhat, cache = _forward_batch(model, windows, training=rng is not None, rng=rng)
     residual = yhat - targets
     with np.errstate(over="ignore"):  # overflow surfaces as the NumericError below
-        mse = float(np.mean(residual * residual))
+        mse = float(np.mean(np.square(residual, dtype=float)))
     if not np.isfinite(mse):
         raise NumericError("loss is non-finite")
     dyhat = 2.0 * residual / len(targets)
@@ -288,8 +323,12 @@ def loss_and_gradients(model: LstmRegressor, windows: np.ndarray, targets: np.nd
 
 
 def clip_gradients(grads: dict, max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most max_norm."""
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    """Scale all gradients so their global L2 norm is at most max_norm.
+
+    The norm is summed in float64, where float32 squares of gradients above
+    about 1.8e19 would overflow and the clip would zero every gradient.
+    """
+    total = float(np.sqrt(sum(float(np.sum(np.square(g, dtype=float))) for g in grads.values())))
     if max_norm > 0 and total > max_norm:
         factor = max_norm / total
         for g in grads.values():
@@ -370,7 +409,8 @@ def train(dataset: WindowedDataset, config: TrainConfig):
     """Mini-batch training with seeded shuffling; returns (model, loss history).
 
     The history holds one mean squared error per epoch, averaged over all
-    samples. epochs=0 returns the freshly initialized model untouched.
+    samples. The model trains in float32; epochs=0 returns the freshly
+    initialized model cast to float32.
     """
     config.validate()
     if len(dataset) == 0:
@@ -387,6 +427,9 @@ def train(dataset: WindowedDataset, config: TrainConfig):
         seed=config.seed,
         label_cap=config.label_cap,
         sequence_length=config.sequence_length,
+    )
+    model = _with_parameters(
+        model, {name: value.astype(np.float32) for name, value in iter_parameters(model)}
     )
     rng = np.random.default_rng(config.seed)
     params = iter_parameters(model)
@@ -453,13 +496,17 @@ def _stored_keys(name: str, version: int) -> list:
 
 
 def load_checkpoint(path):
-    """Load (model, meta) from a checkpoint written by save_checkpoint."""
+    """Load (model, meta) from a checkpoint written by save_checkpoint.
+
+    The parameters keep their stored dtype, which must be float32 for all of
+    them or float64 for all of them.
+    """
     with np.load(path) as payload:
         header = json.loads(bytes(payload["header"]).decode())
         version = header.get("version")
         if version not in (1, 2):
             raise IntegrityError(f"unsupported checkpoint version {version}")
-        model = init_regressor(
+        template = init_regressor(
             header["input_dim"],
             header["hidden_sizes"],
             header["dropout_ratios"],
@@ -467,16 +514,25 @@ def load_checkpoint(path):
             label_cap=header["label_cap"],
             sequence_length=header.get("sequence_length"),
         )
-        for name, value in iter_parameters(model):
+        arrays, dtype = {}, None
+        for name, value in iter_parameters(template):
             keys = _stored_keys(name, version)
             missing = [key for key in keys if key not in payload]
             if missing:
                 raise IntegrityError(f"checkpoint missing parameter {missing[0]}")
-            stored = np.concatenate([payload[key] for key in keys]) if version == 1 else payload[name]
+            parts = [payload[key] for key in keys]
+            dtype = parts[0].dtype if dtype is None else dtype
+            for key, part in zip(keys, parts):
+                if part.dtype != dtype or dtype not in (np.float32, np.float64):
+                    raise IntegrityError(
+                        f"checkpoint parameter {key} has dtype {part.dtype}; "
+                        f"parameters must be all float32 or all float64"
+                    )
+            stored = np.concatenate(parts) if version == 1 else parts[0]
             if stored.shape != value.shape:
                 raise IntegrityError(
                     f"checkpoint parameter {name} has shape {stored.shape}, "
                     f"expected {value.shape}"
                 )
-            value[...] = stored
-    return model, header["meta"]
+            arrays[name] = stored
+    return _with_parameters(template, arrays), header["meta"]

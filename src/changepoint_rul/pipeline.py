@@ -278,13 +278,14 @@ def build_training_data(config: PipelineConfig, engines, outcomes):
 def run_train(config: PipelineConfig, engines=None, outcomes=None, write: bool = True):
     """Train the windowed regressor on change-point-informed labels.
 
-    Reuses an existing change-point report under out_dir when present,
-    otherwise runs detection inline. Returns (model, history, meta).
+    Runs detection on these engines unless their outcomes are given, so a
+    change-point report already under out_dir is never read. Returns
+    (model, history, meta).
     """
     config.validate()
     selection, selected = _selected_train_engines(config, engines)
     if outcomes is None:
-        outcomes = _load_or_detect(config, selected)
+        outcomes, _ = run_detect(config, engines=selected, write=write)
 
     pooled, windowed = build_training_data(config, selected, outcomes)
     train_cfg = TrainConfig(
@@ -320,30 +321,6 @@ def run_train(config: PipelineConfig, engines=None, outcomes=None, write: bool =
             )
         log.info("checkpoint written to %s", os.path.join(config.out_dir, "checkpoint.npz"))
     return model, history, meta
-
-
-def _load_or_detect(config: PipelineConfig, selected_engines):
-    report_path = os.path.join(config.out_dir, "change_points.json")
-    if os.path.exists(report_path):
-        by_unit, renamed = {}, {"unit": "unit_id", "lambda": "persistence"}
-        try:
-            with open(report_path, encoding="utf-8") as fh:
-                payload = json.load(fh)
-            for record in payload["engines"]:  # record() inverted, dataset aside
-                by_unit[record["unit"]] = DeviceOutcome(
-                    **{renamed.get(k, k): record[k] for k in REPORT_COLUMNS[1:-1]},
-                    flagged=record.get("flagged", False),  # absent from older reports
-                )
-        except (ValueError, KeyError, TypeError) as exc:  # bad JSON, keys or types
-            raise IntegrityError(f"change-point report at {report_path} is corrupt: {exc!r}") from None
-        missing = [s.unit_id for s in selected_engines if s.unit_id not in by_unit]
-        if missing:
-            raise IntegrityError(
-                f"change-point report at {report_path} lacks units {missing}"
-            )
-        return [by_unit[s.unit_id] for s in selected_engines]
-    outcomes, _ = run_detect(config, engines=selected_engines, write=True)
-    return outcomes
 
 
 def read_checkpoint(path):

@@ -66,6 +66,11 @@ class StreamMonitor:
         self.pooled = pooled
         self.rul_cap = rul_cap
         self.max_window = regressor.sequence_length if regressor else 1
+        # A float32 model cannot take every accepted reading once standardized;
+        # a float64 one can, as MAX_ABS_READING keeps them far inside its range.
+        self.max_scaled = None
+        if regressor is not None and regressor.dtype != np.float64:
+            self.max_scaled = np.finfo(regressor.dtype).max
         self.states: dict = {}
 
     def _reject(self, reason: str, record=None) -> dict:
@@ -107,6 +112,11 @@ class StreamMonitor:
             return [self._reject(f"sensors must be finite, at most {MAX_ABS_READING:g}", record)]
         if sensors.shape[0] == N_SENSORS:
             sensors = sensors[self.columns]
+        if self.max_scaled is not None:
+            scaled = (sensors - self.pooled.mean) / self.pooled.std
+            if not (np.abs(scaled) <= self.max_scaled).all():
+                reason = f"sensors beyond the regressor's {self.regressor.dtype} range once standardized"
+                return [self._reject(reason, record)]
 
         state = self.states.get(unit)
         if state is None:

@@ -1,5 +1,7 @@
 import json
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from changepoint_rul.errors import ConfigError, IntegrityError, NumericError, ShapeError
 from changepoint_rul.labeling import WindowedDataset
 from changepoint_rul.lstm import (
+    LstmLayer,
     TrainConfig,
     adam_step,
     clip_gradients,
@@ -26,6 +29,19 @@ from changepoint_rul.lstm import (
 def set_all(model, value):
     for _, arr in iter_parameters(model):
         arr[...] = value
+
+
+def as_float32(model):
+    layers = [
+        LstmLayer(*(a.astype(np.float32) for a in (layer.wx, layer.wh, layer.b)))
+        for layer in model.layers
+    ]
+    return replace(
+        model,
+        layers=layers,
+        head_w=model.head_w.astype(np.float32),
+        head_b=model.head_b.astype(np.float32),
+    )
 
 
 def linear_task(n=200, length=10, channels=3, seed=0, slope=20.0):
@@ -214,6 +230,13 @@ class TestOptimizers:
         new_norm = np.sqrt(sum(np.sum(g * g) for g in grads.values()))
         assert new_norm == pytest.approx(1.0)
 
+    def test_clip_gradients_norm_beyond_float32_squares(self):
+        # 3e20**2 overflows float32; the norm is summed in float64
+        grads = {"a": np.array([3e20, 4e20], dtype=np.float32), "b": np.ones(1, np.float32)}
+        assert clip_gradients(grads, 1.0) == pytest.approx(5e20)
+        assert grads["a"].dtype == np.float32
+        np.testing.assert_allclose(grads["a"], [0.6, 0.8], rtol=1e-6)
+
 
 class TestTraining:
     def test_learns_synthetic_linear_task(self):
@@ -242,7 +265,8 @@ class TestTraining:
         assert history == []
         fresh = init_regressor(3, (4,), (), seed=3, sequence_length=6)
         for (_, a), (_, b) in zip(iter_parameters(model), iter_parameters(fresh)):
-            np.testing.assert_array_equal(a, b)
+            assert a.dtype == np.float32
+            np.testing.assert_array_equal(a, b.astype(np.float32))
 
     def test_loss_decreases_first_epochs_across_seeds(self):
         ds = linear_task(n=100, length=8, seed=1)
@@ -296,7 +320,8 @@ class TestTraining:
             init_regressor(3, (), (), seed=0)
 
     def test_divergence_aborts(self):
-        # targets beyond sqrt(float64 max) overflow the squared error to inf
+        # targets of order 1e200 lie beyond float32's range, so the float32
+        # training batch stops with a NumericError before its forward pass
         ds = linear_task(n=30, length=5, slope=1e200)
         cfg = TrainConfig(
             sequence_length=5,
@@ -309,6 +334,49 @@ class TestTraining:
         )
         with pytest.raises(NumericError):
             train(ds, cfg)
+
+    @pytest.mark.parametrize("what", ["windows", "targets"])
+    def test_float32_overflow_named(self, what):
+        ds = linear_task(n=30, length=5)
+        if what == "windows":
+            ds.windows[3, 2, 1] = -1e39
+        else:
+            ds.targets[7] = 1e39  # finite in float64, inf in float32
+        cfg = TrainConfig(sequence_length=5, hidden_sizes=(4,), dropout_ratios=(), epochs=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no "overflow encountered in cast"
+            with pytest.raises(NumericError, match=f"^{what} hold a finite value beyond"):
+                train(ds, cfg)
+
+    def test_float64_model_keeps_float64_range(self):
+        # the same targets pass a float64 model's cast; the loss overflows instead
+        model = init_regressor(3, (4,), (), seed=0)
+        ds = linear_task(n=8, length=5, slope=1e200)
+        with pytest.raises(NumericError, match="loss is non-finite"):
+            loss_and_gradients(model, ds.windows, ds.targets)
+
+
+def test_float32_gradients_stay_float32_and_match_float64():
+    """Every gradient and prediction of a float32 model is float32, and the
+    loss agrees with the float64 model's to 1e-6 and each gradient to 5e-6 of
+    its largest entry (dropout on, both sides drawing the same masks; about
+    3e-8 and 5e-7 measured)."""
+    model64 = init_regressor(6, (12, 8, 5), (0.2, 0.1), seed=30)
+    model32 = as_float32(model64)
+    rng = np.random.default_rng(31)
+    windows, targets = rng.normal(size=(9, 7, 6)), 40.0 * rng.random(9)
+    mse64, grads64 = loss_and_gradients(model64, windows, targets, rng=np.random.default_rng(32))
+    mse32, grads32 = loss_and_gradients(model32, windows, targets, rng=np.random.default_rng(32))
+    assert isinstance(mse32, float)
+    assert mse32 == pytest.approx(mse64, rel=1e-6)
+    assert grads32.keys() == grads64.keys()
+    for name, grad in grads32.items():
+        assert grad.dtype == np.float32, name
+        scale = np.abs(grads64[name]).max()
+        np.testing.assert_allclose(grad, grads64[name], rtol=0, atol=5e-6 * scale, err_msg=name)
+    estimates = predict_batch(model32, windows)
+    assert estimates.dtype == np.float32
+    np.testing.assert_allclose(estimates, predict_batch(model64, windows), rtol=1e-5)
 
 
 class TestPredict:
@@ -357,9 +425,43 @@ def test_checkpoint_round_trip(tmp_path):
     assert meta["dataset"] == "FD001"
     assert loaded.sequence_length == 6
     for (_, a), (_, b) in zip(iter_parameters(model), iter_parameters(loaded)):
+        assert a.dtype == b.dtype == np.float32
         np.testing.assert_array_equal(a, b)
-    window = np.random.default_rng(19).normal(size=(6, 3))
-    assert predict(model, window) == predict(loaded, window)
+    windows = np.random.default_rng(19).normal(size=(5, 6, 3))
+    np.testing.assert_array_equal(predict_batch(loaded, windows), predict_batch(model, windows))
+
+
+def test_untrained_float64_checkpoint_loads_as_float64(tmp_path):
+    model = init_regressor(3, (5, 4), (0.1,), seed=25, sequence_length=6)
+    path = tmp_path / "model.npz"
+    save_checkpoint(model, path)
+    loaded, _ = load_checkpoint(path)
+    for (name, a), (_, b) in zip(iter_parameters(model), iter_parameters(loaded)):
+        assert b.dtype == np.float64, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+@pytest.mark.parametrize(
+    "base,name,dtype",
+    [
+        (np.float64, "head.b", np.float32),
+        (np.float64, "layer0.wx", np.int64),
+        (np.float32, "layer1.wh", np.float16),
+        (np.float64, "head.w", np.complex128),
+    ],
+    ids=["mixed", "int", "float16", "complex"],
+)
+def test_checkpoint_dtype_rejected(tmp_path, base, name, dtype):
+    model = init_regressor(3, (5, 4), (0.1,), seed=26, sequence_length=6)
+    path = tmp_path / "model.npz"
+    save_checkpoint(model, path)
+    with np.load(path) as stored:
+        arrays = {key: stored[key] for key in stored.files}
+    for key, _ in iter_parameters(model):
+        arrays[key] = arrays[key].astype(dtype if key == name else base)
+    np.savez(path, **arrays)
+    with pytest.raises(IntegrityError, match=f"parameter {name} has dtype {np.dtype(dtype)}"):
+        load_checkpoint(path)
 
 
 def test_version_1_checkpoint_loads(tmp_path):
@@ -392,6 +494,7 @@ def test_version_1_checkpoint_loads(tmp_path):
     loaded, meta = load_checkpoint(path)
     assert meta == {"dataset": "FD001"}
     for (name, a), (_, b) in zip(iter_parameters(model), iter_parameters(loaded)):
+        assert b.dtype == np.float64, name
         np.testing.assert_array_equal(a, b, err_msg=name)
     windows = np.random.default_rng(24).normal(size=(4, 6, 3))
     np.testing.assert_array_equal(predict_batch(loaded, windows), predict_batch(model, windows))

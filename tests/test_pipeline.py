@@ -11,7 +11,6 @@ from changepoint_rul.cli import main
 from changepoint_rul.config import default_config
 from changepoint_rul.metrics import evaluate_predictions
 from changepoint_rul.pipeline import (
-    _load_or_detect,
     _load_split,
     constant_cap_report,
     run_detect,
@@ -82,16 +81,13 @@ class TestDetect:
         fitted = [o for o in outcomes if o.monitor is not None]
         assert len([m for m in monitors if m.startswith("unit_")]) == len(fitted)
 
-    def test_flagged_persisted_and_read_back(self, detect_run, tmp_path):
+    def test_flagged_persisted_and_read_back(self, detect_run):
         cfg, outcomes, _, _ = detect_run
         report = json.load(open(os.path.join(cfg.out_dir, "change_points.json")))
         assert [r["flagged"] for r in report["engines"]] == [o.flagged for o in outcomes]
+        assert report["engines"] == [o.record(cfg.dataset_id) for o in outcomes]
         csv_rows = open(os.path.join(cfg.out_dir, "change_points.csv")).read().splitlines()[1:]
         assert [r.rsplit(",", 1)[1] for r in csv_rows] == [str(o.flagged) for o in outcomes]
-        report["engines"][0]["flagged"] = True
-        (tmp_path / "change_points.json").write_text(json.dumps(report))
-        reloaded = _load_or_detect(replace(cfg, out_dir=str(tmp_path)), outcomes)
-        assert [o.flagged for o in reloaded] == [True] + [o.flagged for o in outcomes[1:]]
 
     def test_traces_exported(self, detect_run):
         cfg, outcomes, _, _ = detect_run
@@ -139,19 +135,25 @@ class TestTrain:
         _, _, history, _ = trained_run
         assert history[-1] < history[0]
 
-    def test_reuses_existing_report(self, corpus, detect_run, tmp_path, caplog):
+    def test_stale_report_of_another_fleet_is_ignored(self, corpus, tmp_path):
         data_dir, _ = corpus
-        detect_cfg, _, _, _ = detect_run
-        cfg = default_config(
-            "FD001",
-            data_dir=data_dir,
-            out_dir=detect_cfg.out_dir,  # change_points.json already there
-            seed=1,
-            epochs=0,
-            **{k: v for k, v in SMALL_NET.items() if k != "epochs"},
-        )
-        model, history, _ = run_train(cfg, write=False)
-        assert history == []
+        other = tmp_path / "other"  # the same 12 units, other lifespans and change points
+        write_corpus(other, n_train=12, n_test=2, seed=5, short_every=4)
+        stale, fresh = tmp_path / "stale", tmp_path / "fresh"
+        run_detect(default_config("FD001", data_dir=str(other), out_dir=str(stale)))
+        checkpoints = []
+        for out in (stale, fresh):
+            cfg = default_config(
+                "FD001", data_dir=data_dir, out_dir=str(out), seed=1, **dict(SMALL_NET, epochs=1)
+            )
+            run_train(cfg)
+            with np.load(out / "checkpoint.npz") as payload:
+                checkpoints.append({name: payload[name] for name in payload.files})
+        assert checkpoints[0].keys() == checkpoints[1].keys()
+        for name, value in checkpoints[1].items():
+            np.testing.assert_array_equal(checkpoints[0][name], value, err_msg=name)
+        report = "change_points.json"
+        assert (stale / report).read_bytes() == (fresh / report).read_bytes()
 
 
 class TestEvaluate:
@@ -421,18 +423,20 @@ class TestCli:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: row 3: non-numeric")
 
-    @pytest.mark.parametrize(
-        "report",
-        ['{"summary": {}, "engines": [{"unit": 1, "k_m', '{"engines": [{"unit": 1}]}'],
-        ids=["truncated", "no_k_max"],
-    )
-    def test_corrupt_change_point_report_rejected(self, corpus, tmp_path, capsys, report):
-        data_dir, _ = corpus
-        report_path = tmp_path / "change_points.json"
-        report_path.write_text(report)
-        assert main(["train", "--data-dir", data_dir, "--out-dir", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert f"change-point report at {report_path} is corrupt" in err
+    def test_mixed_dtype_checkpoint_exits_2(self, trained_run, one_record, tmp_path, capsys):
+        from changepoint_rul.lstm import save_checkpoint
+
+        cfg, model, _, meta = trained_run
+        mixed = replace(model, head_b=model.head_b.astype(np.float64))  # float32 elsewhere
+        path = str(tmp_path / "mixed.npz")
+        save_checkpoint(mixed, path, meta=meta)
+        monitors_dir, stream_path = one_record
+        argv = ["evaluate", "--data-dir", cfg.data_dir, "--out-dir", str(tmp_path)]
+        assert main(argv + ["--checkpoint", path]) == 2
+        argv = ["monitor", "--monitors", monitors_dir, "--input", stream_path]
+        assert main(argv + ["--checkpoint", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("checkpoint parameter head.b has dtype float64") == 2
 
     @pytest.mark.parametrize(
         "patch,match",

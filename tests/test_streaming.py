@@ -5,6 +5,7 @@ import pytest
 
 from changepoint_rul.config import PipelineConfig
 from changepoint_rul.cva import CvaModel, Standardizer
+from changepoint_rul.lstm import LstmLayer, LstmRegressor
 from changepoint_rul.monitoring import MonitorModel
 from changepoint_rul.streaming import StreamMonitor
 
@@ -171,6 +172,33 @@ class TestRecordValidation:
         assert [e["type"] for e in events] == ["rejected"]
         json.dumps(events, allow_nan=False)
         assert sm.states == {}  # a rejected record leaves no device state behind
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_reading_beyond_regressor_range(self, dtype):
+        # 1e50 standardized is finite in float64 but overflows a float32 model
+        layer = LstmLayer(np.zeros((4, 1), dtype), np.zeros((4, 1), dtype), np.zeros(4, dtype))
+        regressor = LstmRegressor(
+            layers=[layer],
+            dropout_ratios=(),
+            head_w=np.zeros(1, dtype),
+            head_b=np.zeros(1, dtype),
+            seed=0,
+            sequence_length=3,
+        )
+        pooled = Standardizer(mean=np.zeros(1), std=np.ones(1))
+        sm = StreamMonitor(
+            {1: scalar_monitor(persistence=0)}, kept_indices=[1], regressor=regressor, pooled=pooled
+        )
+        for cycle, value in ((1, 0.0), (2, 10.0)):
+            sm.process_record({"unit": 1, "cycle": cycle, "sensors": [value]})
+        events = sm.process_record({"unit": 1, "cycle": 3, "sensors": [1e50]})  # degrading
+        if dtype == np.float64:
+            assert [e["type"] for e in events] == ["status", "change_point"]
+            assert events[0]["rul"] == 0.0
+        else:
+            assert [e["type"] for e in events] == ["rejected"]
+            assert "float32 range" in events[0]["reason"]
+            assert sm.states[1].last_cycle == 2
 
 
 class TestInjectedShift:
