@@ -49,7 +49,6 @@ from .lstm import (
     LstmRegressor,
     TrainConfig,
     adam_step,
-    forward,
     init_regressor,
     load_checkpoint,
     loss_and_gradients,

@@ -5,10 +5,11 @@ row per sensor channel. Channels are standardized before lagging, so every
 lag copy of a channel shares the same scale parameters and the projection
 transforms stay strictly linear (a zero input column maps to zero variates).
 
-Lag stacking convention, pinned by tests: the past vector at cycle k stacks
-newest lag first [x_{k-1}, x_{k-2}, ..., x_{k-p}]; the future vector stacks
-oldest first [x_k, x_{k+1}, ..., x_{k+f-1}]. Columns run k = p+1 .. p+n_eff
-with n_eff = N - f - p + 1.
+Past and future vectors both hold p lags. Lag stacking convention, pinned
+by tests: the past vector at cycle k stacks newest lag first
+[x_{k-1}, x_{k-2}, ..., x_{k-p}]; the future vector stacks oldest first
+[x_k, x_{k+1}, ..., x_{k+p-1}]. Columns run k = p+1 .. p+n_eff with
+n_eff = N - 2p + 1.
 """
 
 from __future__ import annotations
@@ -31,13 +32,15 @@ EIG_FLOOR_RATIO = 1e-8
 
 @dataclass(frozen=True)
 class LaggedMatrices:
-    """Stacked past/future matrices of shape (m*p, n_eff) and (m*f, n_eff)."""
+    """Stacked past/future matrices, each of shape (m*p, n_eff)."""
 
     xp: np.ndarray
     xf: np.ndarray
     p: int
-    f: int
-    n_effective: int
+
+    @property
+    def n_effective(self) -> int:
+        return self.xp.shape[1]
 
 
 @dataclass(frozen=True)
@@ -80,33 +83,10 @@ def apply_standardizer(standardizer: Standardizer, x: np.ndarray) -> np.ndarray:
     return (x - standardizer.mean[:, None]) / standardizer.std[:, None]
 
 
-def build_lagged_matrices(x: np.ndarray, p: int, f: int) -> LaggedMatrices:
-    """Expand an (m, N) series into stacked past/future matrices.
-
-    Requires p = f >= 1 and N >= p + f.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ShapeError("expected an (m, N) matrix")
-    if p != f or p < 1:
-        raise ConfigError(f"past and future lag counts must be equal and >= 1, got p={p} f={f}")
-    m, n = x.shape
-    n_eff = n - f - p + 1
-    if n_eff < 1:
-        raise InsufficientDataError(f"need N >= p + f = {p + f} observations, got {n}")
-    xp = np.empty((m * p, n_eff))
-    for lag in range(1, p + 1):  # newest lag first: block j holds x_{k-j}
-        xp[(lag - 1) * m : lag * m, :] = x[:, p - lag : p - lag + n_eff]
-    xf = np.empty((m * f, n_eff))
-    for step in range(f):  # oldest first: block j holds x_{k+j}
-        xf[step * m : (step + 1) * m, :] = x[:, p + step : p + step + n_eff]
-    return LaggedMatrices(xp=xp, xf=xf, p=p, f=f, n_effective=n_eff)
-
-
 def build_past_matrix(x: np.ndarray, p: int) -> np.ndarray:
-    """Past-lag matrix alone, for projection of monitored data.
+    """Past-lag matrix of an (m, N) series, newest lag first.
 
-    Columns cover cycles p+1 .. N (no future truncation), newest lag first.
+    Columns cover cycles p+1 .. N (no future truncation).
     """
     x = np.asarray(x, dtype=float)
     m, n = x.shape
@@ -114,9 +94,30 @@ def build_past_matrix(x: np.ndarray, p: int) -> np.ndarray:
         raise InsufficientDataError(f"need more than p={p} observations, got {n}")
     n_cols = n - p
     xp = np.empty((m * p, n_cols))
-    for lag in range(1, p + 1):
+    for lag in range(1, p + 1):  # block j holds x_{k-j}
         xp[(lag - 1) * m : lag * m, :] = x[:, p - lag : p - lag + n_cols]
     return xp
+
+
+def build_lagged_matrices(x: np.ndarray, p: int) -> LaggedMatrices:
+    """Expand an (m, N) series into stacked past/future matrices of p lags each.
+
+    Requires p >= 1 and N >= 2p.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        raise ShapeError("expected an (m, N) matrix")
+    if p < 1:
+        raise ConfigError(f"lag count must be >= 1, got p={p}")
+    m, n = x.shape
+    n_eff = n - 2 * p + 1
+    if n_eff < 1:
+        raise InsufficientDataError(f"need N >= 2p = {2 * p} observations, got {n}")
+    xp = build_past_matrix(x[:, : n - p + 1], p)
+    xf = np.empty((m * p, n_eff))
+    for step in range(p):  # oldest first: block j holds x_{k+j}
+        xf[step * m : (step + 1) * m, :] = x[:, p + step : p + step + n_eff]
+    return LaggedMatrices(xp=xp, xf=xf, p=p)
 
 
 def _inverse_sqrt_sym(s: np.ndarray) -> np.ndarray:
@@ -144,7 +145,6 @@ class CvaModel:
 
     standardizer: Standardizer | None
     p: int
-    f: int
     r: int
     w: np.ndarray
     vr: np.ndarray
@@ -155,7 +155,6 @@ class CvaModel:
     def to_dict(self) -> dict:
         return {
             "p": self.p,
-            "f": self.f,
             "r": self.r,
             "w": self.w.tolist(),
             "vr": self.vr.tolist(),
@@ -181,7 +180,6 @@ class CvaModel:
         return cls(
             standardizer=standardizer,
             p=int(payload["p"]),
-            f=int(payload["f"]),
             r=int(payload["r"]),
             w=w,
             vr=vr,
@@ -218,7 +216,6 @@ def fit_cva(lagged: LaggedMatrices, r: int, standardizer: Standardizer | None = 
     return CvaModel(
         standardizer=standardizer,
         p=lagged.p,
-        f=lagged.f,
         r=r,
         w=w,
         vr=vr,

@@ -11,8 +11,8 @@ weights, so the seeded draws and the float64 finite-difference gradient
 checks do not depend on how a model is trained; ``train`` casts the new
 model to float32 before its first batch, as the reference Keras model
 trained. Windows and targets are cast to the weights' dtype (a finite value
-beyond float32's range is a NumericError) and only the loss is reduced in
-float64.
+beyond float32's range is a NumericError). Only the loss, the gradient clip
+norm and the RMSProp mean squares are kept in float64.
 
 Each layer stores its gates fused: ``wx`` (4h, d), ``wh`` (4h, h) and ``b``
 (4h,), row blocks in gate order (input, forget, output, candidate), so the
@@ -22,8 +22,7 @@ recurrence. Backward keeps only ``dz @ wh`` inside the time loop, writes each
 step's gate gradient over the cached gate activations, and forms the weight,
 bias and input gradients as single GEMMs after the loop (Appleyard et al.,
 arXiv:1604.01946). Checkpoints are version 2 and hold the fused arrays,
-each loaded back in its stored dtype (all float32 or all float64); version-1
-files, which hold one array per gate, still load.
+each loaded back in its stored dtype (all float32 or all float64).
 """
 
 from __future__ import annotations
@@ -240,15 +239,6 @@ def _forward_batch(model: LstmRegressor, x: np.ndarray, training: bool, rng, kee
     return yhat, cache
 
 
-def forward(model: LstmRegressor, window: np.ndarray, training: bool = False, rng=None):
-    """Single-window forward pass; returns (estimate, cached activations)."""
-    window = np.asarray(window, dtype=float)
-    if window.ndim != 2:
-        raise ShapeError(f"expected an (L, m) window, got shape {window.shape}")
-    yhat, cache = _forward_batch(model, window[None, :, :], training, rng)
-    return float(yhat[0]), cache
-
-
 def _backward_batch(model: LstmRegressor, cache: list, dyhat: np.ndarray) -> dict:
     """Backpropagate d(loss)/d(yhat) through head and stacked recurrences.
 
@@ -337,15 +327,19 @@ def clip_gradients(grads: dict, max_norm: float) -> float:
 
 
 def rmsprop_step(params, grads: dict, state: dict, lr: float, decay: float = 0.9, eps: float = 1e-8):
-    """One RMSProp update: s <- decay*s + (1-decay)*g^2, p <- p - lr*g/sqrt(s+eps)."""
+    """One RMSProp update: s <- decay*s + (1-decay)*g^2, p <- p - lr*g/sqrt(s+eps).
+
+    ``s`` is kept in float64, where float32 squares of gradients above about
+    1.8e19 would overflow to inf and leave their parameter frozen.
+    """
     for name, value in params:
         g = grads[name]
         s = state.get(name)
         if s is None:
-            s = np.zeros_like(value)
+            s = np.zeros(value.shape)
             state[name] = s
         s *= decay
-        s += (1.0 - decay) * g * g
+        s += (1.0 - decay) * np.square(g, dtype=float)
         value -= lr * g / np.sqrt(s + eps)
     return params, state
 
@@ -486,15 +480,6 @@ def save_checkpoint(model: LstmRegressor, path, meta: dict | None = None) -> Non
     np.savez(path, **payload)
 
 
-def _stored_keys(name: str, version: int) -> list:
-    """Payload keys holding a parameter; version 1 kept one array per gate."""
-    if version == 2 or name.startswith("head."):
-        return [name]
-    layer, kind = name.split(".")
-    prefix = {"wx": "w", "wh": "r", "b": "b"}[kind]
-    return [f"{layer}.{prefix}_{gate}" for gate in ("input", "forget", "output", "candidate")]
-
-
 def load_checkpoint(path):
     """Load (model, meta) from a checkpoint written by save_checkpoint.
 
@@ -504,7 +489,7 @@ def load_checkpoint(path):
     with np.load(path) as payload:
         header = json.loads(bytes(payload["header"]).decode())
         version = header.get("version")
-        if version not in (1, 2):
+        if version != 2:
             raise IntegrityError(f"unsupported checkpoint version {version}")
         template = init_regressor(
             header["input_dim"],
@@ -516,19 +501,15 @@ def load_checkpoint(path):
         )
         arrays, dtype = {}, None
         for name, value in iter_parameters(template):
-            keys = _stored_keys(name, version)
-            missing = [key for key in keys if key not in payload]
-            if missing:
-                raise IntegrityError(f"checkpoint missing parameter {missing[0]}")
-            parts = [payload[key] for key in keys]
-            dtype = parts[0].dtype if dtype is None else dtype
-            for key, part in zip(keys, parts):
-                if part.dtype != dtype or dtype not in (np.float32, np.float64):
-                    raise IntegrityError(
-                        f"checkpoint parameter {key} has dtype {part.dtype}; "
-                        f"parameters must be all float32 or all float64"
-                    )
-            stored = np.concatenate(parts) if version == 1 else parts[0]
+            if name not in payload:
+                raise IntegrityError(f"checkpoint missing parameter {name}")
+            stored = payload[name]
+            dtype = stored.dtype if dtype is None else dtype
+            if stored.dtype != dtype or dtype not in (np.float32, np.float64):
+                raise IntegrityError(
+                    f"checkpoint parameter {name} has dtype {stored.dtype}; "
+                    f"parameters must be all float32 or all float64"
+                )
             if stored.shape != value.shape:
                 raise IntegrityError(
                     f"checkpoint parameter {name} has shape {stored.shape}, "

@@ -144,11 +144,6 @@ class MonitorModel:
     normal_window: int = 60
     validation_window: int = 20
 
-    @property
-    def monitor_start_cycle(self) -> int:
-        """First monitored test cycle: past-lag cycles after the windows."""
-        return self.normal_window + self.validation_window + self.cva.p
-
     def to_dict(self) -> dict:
         return {
             "cva": self.cva.to_dict(),
@@ -269,6 +264,12 @@ def detect_change_point(
     )
 
 
+def _statistics(cva: CvaModel, x_std: np.ndarray) -> StatisticSeries:
+    """Statistics of cycles p+1 .. N of a standardized (m, N) series."""
+    z, e = project(cva, build_past_matrix(x_std, cva.p))
+    return compute_statistics(z, e, start_cycle=cva.p + 1)
+
+
 def statistic_trace(model: MonitorModel, sensors: np.ndarray) -> StatisticSeries:
     """Full statistic series of a device under a fitted monitor.
 
@@ -276,19 +277,18 @@ def statistic_trace(model: MonitorModel, sensors: np.ndarray) -> StatisticSeries
     p+1 .. k_max are covered (the first p cycles only seed the lags).
     """
     x = apply_standardizer(model.cva.standardizer, np.asarray(sensors, dtype=float).T)
-    xp = build_past_matrix(x, model.cva.p)
-    z, e = project(model.cva, xp)
-    return compute_statistics(z, e, start_cycle=model.cva.p + 1)
+    return _statistics(model.cva, x)
 
 
 def fit_device_monitor(series: EngineSeries, config: PipelineConfig):
     """Fit a monitor on one device and locate its change point.
 
     The series must already be sensor-selected. Standardizer and CVA are fit
-    on the first normal_window cycles, control limits on the training
-    statistics, and detection runs on cycles from the monitor start through
-    end of life. Any device with cycles left to monitor is fitted; the
-    minimum-lifespan fallback is the caller's decision.
+    on the first normal_window cycles and the whole life is projected once:
+    control limits come from the in-sample statistics (the lagged columns of
+    the normal window), and detection runs on cycles from the monitor start
+    through end of life. Any device with cycles left to monitor is fitted;
+    the minimum-lifespan fallback is the caller's decision.
 
     Returns (MonitorModel, ChangePointResult).
     """
@@ -304,17 +304,13 @@ def fit_device_monitor(series: EngineSeries, config: PipelineConfig):
     standardizer = fit_standardizer(x[:, : config.normal_window])
     x_std = apply_standardizer(standardizer, x)
 
-    lagged = build_lagged_matrices(x_std[:, : config.normal_window], config.p, config.f)
+    lagged = build_lagged_matrices(x_std[:, : config.normal_window], config.p)
     cva_model = fit_cva(lagged, config.r, standardizer=standardizer)
+    all_stats = _statistics(cva_model, x_std)
 
-    z_train, e_train = project(cva_model, lagged.xp)
-    train_stats = compute_statistics(z_train, e_train, start_cycle=config.p + 1)
+    train_stats = all_stats.slice_cycles(config.p + 1, config.p + lagged.n_effective)
     cl_t2 = kde_control_limit(train_stats.t2, config.alpha)
     cl_q = kde_control_limit(train_stats.q, config.alpha)
-
-    xp_all = build_past_matrix(x_std, config.p)
-    z_all, e_all = project(cva_model, xp_all)
-    all_stats = compute_statistics(z_all, e_all, start_cycle=config.p + 1)
 
     test_stats = all_stats.slice_cycles(tau, k_max)
     result = detect_change_point(test_stats, cl_t2, cl_q, k_max=k_max, unit_id=series.unit_id)

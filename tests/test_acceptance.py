@@ -65,7 +65,7 @@ def test_cva_reconstruction_identity():
     rng = np.random.default_rng(2024)
     x = rng.normal(size=(4, 250))
     s = fit_standardizer(x)
-    lagged = build_lagged_matrices(apply_standardizer(s, x), 2, 2)
+    lagged = build_lagged_matrices(apply_standardizer(s, x), 2)
     model = fit_cva(lagged, r=5, standardizer=s)
     x_new = rng.normal(size=(8, 60))
     z, e = project(model, x_new)
@@ -78,14 +78,14 @@ def test_canonical_correlation_bounds():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(4, 500))
     s = fit_standardizer(x)
-    lagged = build_lagged_matrices(apply_standardizer(s, x), 2, 2)
+    lagged = build_lagged_matrices(apply_standardizer(s, x), 2)
     model = fit_cva(lagged, r=4)
     bounded = bool(np.all(model.singular_values >= 0) and np.all(model.singular_values <= 1 + 1e-6))
 
     from changepoint_rul.cva import LaggedMatrices
 
     xp = rng.normal(size=(3, 400))
-    perfect = fit_cva(LaggedMatrices(xp=xp, xf=xp.copy(), p=1, f=1, n_effective=400), r=2)
+    perfect = fit_cva(LaggedMatrices(xp=xp, xf=xp.copy(), p=1), r=2)
     leading = abs(perfect.singular_values[0] - 1.0) < 1e-6
     report(
         bounded and leading,
@@ -181,7 +181,7 @@ def test_piecewise_label_shape():
 
 
 def test_synthetic_corpus_detection():
-    cfg = PipelineConfig(p=2, f=2, r=5, alpha=0.99, min_lifespan=200)
+    cfg = PipelineConfig(p=2, r=5, alpha=0.99, min_lifespan=200)
     within = 0
     for i in range(30):
         k_max = 215 + 6 * i

@@ -26,32 +26,32 @@ def standardized_lagged(seed=0, m=4, n=300, p=2, r=3):
         x[:, t] = 0.6 * x[:, t - 1] + noise[:, t]
     standardizer = fit_standardizer(x)
     xs = apply_standardizer(standardizer, x)
-    lagged = build_lagged_matrices(xs, p, p)
+    lagged = build_lagged_matrices(xs, p)
     return fit_cva(lagged, r, standardizer=standardizer), lagged, xs
 
 
 class TestLaggedMatrices:
     def test_stacking_order_pinned(self):
-        # m=1, N=5, p=f=2: column at k=3 reads [x2, x1] past, [x3, x4] future
+        # m=1, N=5, p=2: column at k=3 reads [x2, x1] past, [x3, x4] future
         x = np.arange(1.0, 6.0)[None, :]
-        lagged = build_lagged_matrices(x, 2, 2)
+        lagged = build_lagged_matrices(x, 2)
         assert lagged.n_effective == 2
         np.testing.assert_array_equal(lagged.xp, [[2.0, 3.0], [1.0, 2.0]])
         np.testing.assert_array_equal(lagged.xf, [[3.0, 4.0], [4.0, 5.0]])
 
     def test_fd001_shape_arithmetic(self):
         x = np.random.default_rng(1).normal(size=(14, 60))
-        lagged = build_lagged_matrices(x, 2, 2)
+        lagged = build_lagged_matrices(x, 2)
         assert lagged.xp.shape == (28, 57)
         assert lagged.xf.shape == (28, 57)
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
-            build_lagged_matrices(np.zeros((2, 3)), 2, 2)
+            build_lagged_matrices(np.zeros((2, 3)), 2)
 
-    def test_unequal_lags_rejected(self):
+    def test_nonpositive_lag_count_rejected(self):
         with pytest.raises(ConfigError):
-            build_lagged_matrices(np.zeros((2, 10)), 2, 3)
+            build_lagged_matrices(np.zeros((2, 10)), 0)
 
     def test_past_matrix_reaches_final_cycle(self):
         x = np.arange(1.0, 8.0)[None, :]
@@ -94,13 +94,13 @@ class TestStandardizer:
 class TestFitCva:
     def test_perfect_correlation_leading_value_one(self):
         xp = np.random.default_rng(6).normal(size=(3, 400))
-        lagged = LaggedMatrices(xp=xp, xf=xp.copy(), p=1, f=1, n_effective=400)
+        lagged = LaggedMatrices(xp=xp, xf=xp.copy(), p=1)
         model = fit_cva(lagged, r=2)
         assert abs(model.singular_values[0] - 1.0) < 1e-6
 
     def test_white_noise_correlations_vanish(self):
         x = np.random.default_rng(7).normal(size=(2, 10006))
-        lagged = build_lagged_matrices(x, 2, 2)
+        lagged = build_lagged_matrices(x, 2)
         model = fit_cva(lagged, r=4)
         assert model.singular_values.max() < 0.2
 
@@ -115,7 +115,7 @@ class TestFitCva:
         rng = np.random.default_rng(9)
         x = rng.normal(size=(3, 500))
         s = fit_standardizer(x)
-        lagged = build_lagged_matrices(apply_standardizer(s, x), 2, 2)
+        lagged = build_lagged_matrices(apply_standardizer(s, x), 2)
         model = fit_cva(lagged, r=6)  # r = m*p
         _, e = project(model, lagged.xp)
         assert np.max(np.sqrt(np.sum(e * e, axis=0))) < 1e-8

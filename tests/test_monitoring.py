@@ -246,6 +246,28 @@ class TestFitDeviceMonitor:
         assert cfg.alpha - 0.03 <= frac_t2 <= 1.0
         assert cfg.alpha - 0.03 <= frac_q <= 1.0
 
+    @pytest.mark.parametrize(
+        "n_channels,r,seed,k_cp",
+        [
+            (5, 5, 1, None),
+            (14, 15, 15, None),
+            (14, 15, 22, 240),
+            (16, 21, 2, 240),
+            (16, 21, 136, 240),
+        ],
+    )
+    def test_limits_are_kde_of_in_sample_trace(self, n_channels, r, seed, k_cp):
+        # in-sample columns of the normal window: cycles p+1 .. normal_window - p + 1.
+        # With some BLAS builds, all but the first seed give a limit that differs
+        # in its last bit when the normal window's columns are projected alone.
+        series = make_engine_series(7, 320, k_cp, seed=seed, n_channels=n_channels)
+        cfg = PipelineConfig(r=r)
+        monitor, _ = fit_device_monitor(series, cfg)
+        stats = statistic_trace(monitor, series.sensors)
+        in_sample = stats.slice_cycles(cfg.p + 1, cfg.normal_window - cfg.p + 1)
+        assert monitor.cl_t2 == kde_control_limit(in_sample.t2, cfg.alpha)
+        assert monitor.cl_q == kde_control_limit(in_sample.q, cfg.alpha)
+
     def test_persistence_covers_pre_change_runs(self):
         series = make_engine_series(5, 300, 230, seed=6, n_channels=5)
         cfg = PipelineConfig(r=5)

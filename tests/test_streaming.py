@@ -17,7 +17,6 @@ def scalar_monitor(cl_t2=4.0, cl_q=1e9, persistence=3):
     cva = CvaModel(
         standardizer=Standardizer(mean=np.zeros(1), std=np.ones(1)),
         p=1,
-        f=1,
         r=1,
         w=np.eye(1),
         vr=np.eye(1),
