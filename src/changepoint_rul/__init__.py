@@ -38,7 +38,6 @@ from .errors import (
     ShapeError,
 )
 from .labeling import (
-    RulLabelSpec,
     WindowedDataset,
     piecewise_rul_labels,
     pooled_standardizer,
@@ -48,7 +47,6 @@ from .labeling import (
 from .lstm import (
     LstmRegressor,
     TrainConfig,
-    adam_step,
     init_regressor,
     load_checkpoint,
     loss_and_gradients,
@@ -67,7 +65,7 @@ from .metrics import (
     score_term,
 )
 from .monitoring import (
-    ChangePointResult,
+    DeviceOutcome,
     MonitorModel,
     StatisticSeries,
     compute_lambda,

@@ -12,7 +12,7 @@ import sys
 from contextlib import nullcontext
 
 from .config import default_config, load_config
-from .errors import DataError, PipelineError
+from .errors import ConfigError, DataError, PipelineError
 from .pipeline import run_detect, run_evaluate, run_sweep, run_train
 from .streaming import run_monitor
 
@@ -48,6 +48,17 @@ def _build_config(args):
         return load_config(args.config, **overrides)
     dataset = overrides.pop("dataset_id", "FD001")
     return default_config(dataset, **overrides)
+
+
+def _candidates(text: str) -> list:
+    """The comma-separated minimum lifespans of ``sweep --candidates``."""
+    candidates = []
+    for value in filter(None, (v.strip() for v in text.split(","))):
+        try:
+            candidates.append(int(value))
+        except ValueError:
+            raise ConfigError(f"sweep candidate {value!r} is not an integer") from None
+    return candidates
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -133,8 +144,7 @@ def main(argv=None) -> int:
             log.info("emitted %d events", n)
         elif args.command == "sweep":
             config = _build_config(args)
-            candidates = [int(v) for v in args.candidates.split(",") if v.strip()]
-            rows = run_sweep(config, candidates)
+            rows = run_sweep(config, _candidates(args.candidates))
             for row in rows:
                 if row["applicable"]:
                     print(

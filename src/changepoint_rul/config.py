@@ -87,6 +87,8 @@ class PipelineConfig:
             raise ConfigError("window, lifespan, and cap settings must be positive")
         if self.r < 1:
             raise ConfigError(f"retained variate count must be >= 1, got {self.r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.subset is not None and self.subset < 1:
             raise ConfigError("subset size must be >= 1 when given")
         return self

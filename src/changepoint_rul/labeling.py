@@ -16,21 +16,11 @@ from .errors import InsufficientDataError, IntegrityError
 DEFAULT_RUL_CAP = 130
 
 
-@dataclass(frozen=True)
-class RulLabelSpec:
-    """Per-cycle RUL labels: constant at y_max, then linear decay to zero."""
-
-    unit_id: int
-    k_max: int
-    k_cp: int | None
-    y_max: int
-    labels: np.ndarray  # index i holds the label of cycle i + 1
-
-
 def piecewise_rul_labels(
-    k_max: int, k_cp: int | None = None, fallback_cap: int = DEFAULT_RUL_CAP, unit_id: int = 0
-) -> RulLabelSpec:
-    """Build the piecewise label vector for one device.
+    k_max: int, k_cp: int | None = None, fallback_cap: int = DEFAULT_RUL_CAP
+) -> np.ndarray:
+    """Per-cycle RUL labels of one device: constant at y_max, then linear
+    decay to zero; index i holds the label of cycle i + 1.
 
     With a change point the cap is the remaining life at that point,
     y_max = k_max - k_cp; without one the fixed fallback cap applies.
@@ -44,8 +34,7 @@ def piecewise_rul_labels(
     else:
         y_max = fallback_cap
     cycles = np.arange(1, k_max + 1)
-    labels = np.minimum(k_max - cycles, y_max)
-    return RulLabelSpec(unit_id=unit_id, k_max=k_max, k_cp=k_cp, y_max=int(y_max), labels=labels)
+    return np.minimum(k_max - cycles, y_max)
 
 
 def pooled_standardizer(segments) -> Standardizer:

@@ -28,6 +28,7 @@ each loaded back in its stored dtype (all float32 or all float64).
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -344,33 +345,6 @@ def rmsprop_step(params, grads: dict, state: dict, lr: float, decay: float = 0.9
     return params, state
 
 
-def adam_step(
-    params,
-    grads: dict,
-    state: dict,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-):
-    """One Adam update with bias correction."""
-    t = state.get("_t", 0) + 1
-    state["_t"] = t
-    for name, value in params:
-        g = grads[name]
-        if name not in state:
-            state[name] = {"m": np.zeros_like(value), "v": np.zeros_like(value)}
-        m, v = state[name]["m"], state[name]["v"]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        value -= lr * m_hat / (np.sqrt(v_hat) + eps)
-    return params, state
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Training knobs for the windowed regressor."""
@@ -393,8 +367,8 @@ class TrainConfig:
             raise ConfigError("learning rate must be positive")
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError("epochs must be >= 0 and batch size >= 1")
-        if self.optimizer not in ("rmsprop", "adam"):
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
+        if self.optimizer != "rmsprop":
+            raise ConfigError(f"unknown optimizer {self.optimizer!r}; only 'rmsprop' is supported")
         if self.grad_clip is not None and self.grad_clip <= 0:
             raise ConfigError("gradient clip norm must be positive when set")
 
@@ -428,7 +402,6 @@ def train(dataset: WindowedDataset, config: TrainConfig):
     rng = np.random.default_rng(config.seed)
     params = iter_parameters(model)
     state: dict = {}
-    step = rmsprop_step if config.optimizer == "rmsprop" else adam_step
     history = []
     n = len(dataset)
     for _ in range(config.epochs):
@@ -441,7 +414,7 @@ def train(dataset: WindowedDataset, config: TrainConfig):
             )
             if config.grad_clip is not None:
                 clip_gradients(grads, config.grad_clip)
-            step(params, grads, state, config.learning_rate)
+            rmsprop_step(params, grads, state, config.learning_rate)
             sq_error_sum += mse * len(batch_idx)
         history.append(sq_error_sum / n)
     return model, history
@@ -484,10 +457,15 @@ def load_checkpoint(path):
     """Load (model, meta) from a checkpoint written by save_checkpoint.
 
     The parameters keep their stored dtype, which must be float32 for all of
-    them or float64 for all of them.
+    them or float64 for all of them. A file that is not such a checkpoint is
+    an IntegrityError naming the path.
     """
-    with np.load(path) as payload:
-        header = json.loads(bytes(payload["header"]).decode())
+    try:
+        with np.load(path) as payload:  # a .npy file loads as an array: TypeError
+            stored = {name: payload[name] for name in payload.files}
+        header = json.loads(bytes(stored["header"]).decode())
+        if not isinstance(header, dict) or not isinstance(header.get("meta"), dict):
+            raise ValueError("header is not a JSON object with a meta object")
         version = header.get("version")
         if version != 2:
             raise IntegrityError(f"unsupported checkpoint version {version}")
@@ -499,21 +477,23 @@ def load_checkpoint(path):
             label_cap=header["label_cap"],
             sequence_length=header.get("sequence_length"),
         )
-        arrays, dtype = {}, None
-        for name, value in iter_parameters(template):
-            if name not in payload:
-                raise IntegrityError(f"checkpoint missing parameter {name}")
-            stored = payload[name]
-            dtype = stored.dtype if dtype is None else dtype
-            if stored.dtype != dtype or dtype not in (np.float32, np.float64):
-                raise IntegrityError(
-                    f"checkpoint parameter {name} has dtype {stored.dtype}; "
-                    f"parameters must be all float32 or all float64"
-                )
-            if stored.shape != value.shape:
-                raise IntegrityError(
-                    f"checkpoint parameter {name} has shape {stored.shape}, "
-                    f"expected {value.shape}"
-                )
-            arrays[name] = stored
+    except (ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile, ConfigError) as exc:
+        raise IntegrityError(f"unreadable checkpoint {path}: {type(exc).__name__}: {exc}") from None
+    arrays, dtype = {}, None
+    for name, value in iter_parameters(template):
+        if name not in stored:
+            raise IntegrityError(f"checkpoint missing parameter {name}")
+        array = stored[name]
+        dtype = array.dtype if dtype is None else dtype
+        if array.dtype != dtype or dtype not in (np.float32, np.float64):
+            raise IntegrityError(
+                f"checkpoint parameter {name} has dtype {array.dtype}; "
+                f"parameters must be all float32 or all float64"
+            )
+        if array.shape != value.shape:
+            raise IntegrityError(
+                f"checkpoint parameter {name} has shape {array.shape}, "
+                f"expected {value.shape}"
+            )
+        arrays[name] = array
     return _with_parameters(template, arrays), header["meta"]

@@ -168,16 +168,56 @@ class MonitorModel:
         )
 
 
+REPORT_COLUMNS = (
+    "dataset",
+    "unit",
+    "k_max",
+    "k_t2_cp",
+    "k_q_cp",
+    "k_cp",
+    "method",
+    "lambda",
+    "cl_t2",
+    "cl_q",
+    "flagged",
+)
+
+
 @dataclass(frozen=True)
-class ChangePointResult:
-    """Candidate and selected change-point cycles for one device."""
+class DeviceOutcome:
+    """One engine's detection record: the change-point candidates and, for a
+    fitted engine, its limits, persistence and monitor. An engine that was
+    not fitted keeps the defaults and gets the fixed-cap fallback."""
 
     unit_id: int
-    k_t2_cp: int | None
-    k_q_cp: int | None
-    k_cp: int | None
-    method: str  # "detected" or "fallback_cap"
+    k_max: int
+    k_t2_cp: int | None = None
+    k_q_cp: int | None = None
+    k_cp: int | None = None
+    persistence: int | None = None
+    cl_t2: float | None = None
+    cl_q: float | None = None
     flagged: bool = False
+    monitor: MonitorModel | None = None
+
+    @property
+    def method(self) -> str:
+        return "detected" if self.k_cp is not None else "fallback_cap"
+
+    def record(self, dataset_id: str) -> dict:
+        return {
+            "dataset": dataset_id,
+            "unit": self.unit_id,
+            "k_max": self.k_max,
+            "k_t2_cp": self.k_t2_cp,
+            "k_q_cp": self.k_q_cp,
+            "k_cp": self.k_cp,
+            "method": self.method,
+            "lambda": self.persistence,
+            "cl_t2": self.cl_t2,
+            "cl_q": self.cl_q,
+            "flagged": self.flagged,
+        }
 
 
 @dataclass(frozen=True)
@@ -238,29 +278,28 @@ def detect_change_point(
     stats: StatisticSeries,
     cl_t2: float,
     cl_q: float,
-    k_max: int | None = None,
+    k_max: int,
     unit_id: int = 0,
-) -> ChangePointResult:
+) -> DeviceOutcome:
     """Earliest cycle whose statistic permanently breaches its control limit.
 
     Each statistic yields a candidate (the start of its trailing all-breach
     run); the earlier one is selected so warnings come as early as possible.
-    No candidate at all yields k_cp=None with the fallback method tag.
+    No candidate at all yields k_cp=None, the fallback.
     """
-    if k_max is not None and stats.end_cycle != k_max:
+    if stats.end_cycle != k_max:
         raise InsufficientDataError(
             f"statistics end at cycle {stats.end_cycle} but device lifespan is {k_max}"
         )
     k_t2 = _permanent_breach_start(stats.t2, cl_t2, stats.start_cycle)
     k_q = _permanent_breach_start(stats.q, cl_q, stats.start_cycle)
     candidates = [k for k in (k_t2, k_q) if k is not None]
-    k_cp = min(candidates) if candidates else None
-    return ChangePointResult(
+    return DeviceOutcome(
         unit_id=unit_id,
+        k_max=k_max,
         k_t2_cp=k_t2,
         k_q_cp=k_q,
-        k_cp=k_cp,
-        method="detected" if k_cp is not None else "fallback_cap",
+        k_cp=min(candidates) if candidates else None,
     )
 
 
@@ -280,7 +319,7 @@ def statistic_trace(model: MonitorModel, sensors: np.ndarray) -> StatisticSeries
     return _statistics(model.cva, x)
 
 
-def fit_device_monitor(series: EngineSeries, config: PipelineConfig):
+def fit_device_monitor(series: EngineSeries, config: PipelineConfig) -> DeviceOutcome:
     """Fit a monitor on one device and locate its change point.
 
     The series must already be sensor-selected. Standardizer and CVA are fit
@@ -290,7 +329,7 @@ def fit_device_monitor(series: EngineSeries, config: PipelineConfig):
     through end of life. Any device with cycles left to monitor is fitted;
     the minimum-lifespan fallback is the caller's decision.
 
-    Returns (MonitorModel, ChangePointResult).
+    Returns the device's DeviceOutcome, monitor included.
     """
     k_max = series.k_max
     tau = config.normal_window + config.validation_window + config.p
@@ -313,8 +352,9 @@ def fit_device_monitor(series: EngineSeries, config: PipelineConfig):
     cl_q = kde_control_limit(train_stats.q, config.alpha)
 
     test_stats = all_stats.slice_cycles(tau, k_max)
-    result = detect_change_point(test_stats, cl_t2, cl_q, k_max=k_max, unit_id=series.unit_id)
-    if result.k_cp == tau:
+    outcome = detect_change_point(test_stats, cl_t2, cl_q, k_max, unit_id=series.unit_id)
+    flagged = outcome.k_cp == tau
+    if flagged:
         # Permanent breach already underway at the first monitored cycle; the
         # true onset may be earlier, so clamp and mark for review.
         warnings.warn(
@@ -322,9 +362,8 @@ def fit_device_monitor(series: EngineSeries, config: PipelineConfig):
             f"cycle {tau}; change point clamped, review recommended",
             stacklevel=2,
         )
-        result = replace(result, flagged=True)
 
-    pre_cp_end = (result.k_cp - 1) if result.k_cp is not None else k_max
+    pre_cp_end = (outcome.k_cp - 1) if outcome.k_cp is not None else k_max
     persistence = compute_lambda(all_stats.slice_cycles(config.p + 1, pre_cp_end), cl_t2, cl_q)
 
     monitor = MonitorModel(
@@ -336,7 +375,14 @@ def fit_device_monitor(series: EngineSeries, config: PipelineConfig):
         normal_window=config.normal_window,
         validation_window=config.validation_window,
     )
-    return monitor, result
+    return replace(
+        outcome,
+        persistence=persistence,
+        cl_t2=cl_t2,
+        cl_q=cl_q,
+        flagged=flagged,
+        monitor=monitor,
+    )
 
 
 def validation_report(

@@ -12,7 +12,7 @@ import csv
 import json
 import logging
 import os
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,81 +30,19 @@ from .labeling import (
 )
 from .lstm import TrainConfig, load_checkpoint, predict_batch, save_checkpoint, train
 from .metrics import EvalReport, evaluate_predictions, format_metrics_row
-from .monitoring import MonitorModel, fit_device_monitor, statistic_trace
+from .monitoring import REPORT_COLUMNS, DeviceOutcome, fit_device_monitor, statistic_trace
 
 log = logging.getLogger(__name__)
-
-REPORT_COLUMNS = (
-    "dataset",
-    "unit",
-    "k_max",
-    "k_t2_cp",
-    "k_q_cp",
-    "k_cp",
-    "method",
-    "lambda",
-    "cl_t2",
-    "cl_q",
-    "flagged",
-)
-
-
-@dataclass(frozen=True)
-class DeviceOutcome:
-    """One engine's detection outcome; a fallback outcome leaves the
-    detection fields at their defaults and carries no monitor."""
-
-    unit_id: int
-    k_max: int
-    method: str
-    k_t2_cp: int | None = None
-    k_q_cp: int | None = None
-    k_cp: int | None = None
-    persistence: int | None = None
-    cl_t2: float | None = None
-    cl_q: float | None = None
-    flagged: bool = False
-    monitor: MonitorModel | None = None
-
-    def record(self, dataset_id: str) -> dict:
-        return {
-            "dataset": dataset_id,
-            "unit": self.unit_id,
-            "k_max": self.k_max,
-            "k_t2_cp": self.k_t2_cp,
-            "k_q_cp": self.k_q_cp,
-            "k_cp": self.k_cp,
-            "method": self.method,
-            "lambda": self.persistence,
-            "cl_t2": self.cl_t2,
-            "cl_q": self.cl_q,
-            "flagged": self.flagged,
-        }
-
 
 def detect_device(series, config: PipelineConfig) -> DeviceOutcome:
     """Fit one engine's monitor. An engine shorter than the minimum lifespan,
     or too short to monitor at all, gets the fixed-cap fallback instead."""
-    fallback = DeviceOutcome(unit_id=series.unit_id, k_max=series.k_max, method="fallback_cap")
-    if series.k_max < config.min_lifespan:
-        return fallback
-    try:
-        monitor, result = fit_device_monitor(series, config)
-    except InsufficientDataError:
-        return fallback
-    return DeviceOutcome(
-        unit_id=series.unit_id,
-        k_max=series.k_max,
-        k_t2_cp=result.k_t2_cp,
-        k_q_cp=result.k_q_cp,
-        k_cp=result.k_cp,
-        method=result.method,
-        persistence=monitor.persistence,
-        cl_t2=monitor.cl_t2,
-        cl_q=monitor.cl_q,
-        flagged=result.flagged,
-        monitor=monitor,
-    )
+    if series.k_max >= config.min_lifespan:
+        try:
+            return fit_device_monitor(series, config)
+        except InsufficientDataError:
+            pass
+    return DeviceOutcome(unit_id=series.unit_id, k_max=series.k_max)
 
 
 def _sorted_subset(engines, subset: int | None):
@@ -168,8 +106,8 @@ def run_detect(config: PipelineConfig, engines=None, write: bool = True):
     summary = {
         "dataset": config.dataset_id,
         "n_engines": len(outcomes),
-        "n_detected": sum(1 for o in outcomes if o.method == "detected"),
-        "n_fallback": sum(1 for o in outcomes if o.method == "fallback_cap"),
+        "n_detected": sum(1 for o in outcomes if o.k_cp is not None),
+        "n_fallback": sum(1 for o in outcomes if o.k_cp is None),
         "n_flagged": sum(1 for o in outcomes if o.flagged),
         "min_lifespan": config.min_lifespan,
     }
@@ -253,18 +191,11 @@ def build_training_data(config: PipelineConfig, engines, outcomes):
     skipped = []
     for series in engines:
         outcome = cp_by_unit[series.unit_id]
-        spec = piecewise_rul_labels(
-            series.k_max,
-            outcome.k_cp if outcome.method == "detected" else None,
-            fallback_cap=config.fallback_cap,
-            unit_id=series.unit_id,
-        )
+        labels = piecewise_rul_labels(series.k_max, outcome.k_cp, config.fallback_cap)
         x = apply_standardizer(pooled, np.asarray(series.sensors, dtype=float).T).T
         try:
             parts.append(
-                sliding_windows(
-                    x, spec.labels, config.sequence_length, unit_id=series.unit_id
-                )
+                sliding_windows(x, labels, config.sequence_length, unit_id=series.unit_id)
             )
         except InsufficientDataError:
             skipped.append(series.unit_id)
@@ -327,14 +258,19 @@ def read_checkpoint(path):
     """Load (model, kept sensor indices, pooled standardizer) from a train
     checkpoint, with one distinct sensor index in 1..21 per model input."""
     model, meta = load_checkpoint(path)
-    kept = cmapss.check_kept_indices(meta.get("kept_indices"), "checkpoint")
-    pooled = Standardizer(
-        mean=np.asarray(meta["pooled_mean"], dtype=float),
-        std=np.asarray(meta["pooled_std"], dtype=float),
-    )
+    kept = cmapss.check_kept_indices(meta.get("kept_indices"), f"checkpoint {path}")
+    try:
+        pooled = Standardizer(
+            mean=np.asarray(meta["pooled_mean"], dtype=float),
+            std=np.asarray(meta["pooled_std"], dtype=float),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise IntegrityError(
+            f"checkpoint {path} holds no pooled standardizer: {type(exc).__name__}: {exc}"
+        ) from None
     shape = (model.input_dim,)
     if len(kept) != model.input_dim or not pooled.mean.shape == pooled.std.shape == shape:
-        raise IntegrityError("checkpoint metadata does not match its architecture")
+        raise IntegrityError(f"checkpoint {path} metadata does not match its architecture")
     return model, kept, pooled
 
 
@@ -376,8 +312,9 @@ def constant_cap_report(config: PipelineConfig) -> EvalReport:
 
 
 def run_sweep(config: PipelineConfig, candidates, write: bool = True):
-    """Full pipeline per candidate minimum lifespan; short candidates or runs
-    with no detected change point at all are recorded as not-applicable."""
+    """Full pipeline per candidate minimum lifespan. A candidate below the
+    first monitorable lifespan is recorded as not applicable; one above every
+    lifespan puts all engines on the fallback cap, the uniform-cap arm."""
     config.validate()
     if not candidates:
         raise ConfigError("sweep needs at least one candidate minimum lifespan")
@@ -396,15 +333,6 @@ def run_sweep(config: PipelineConfig, candidates, write: bool = True):
             )
             continue
         outcomes, summary = run_detect(sub_cfg, write=write)
-        if summary["n_detected"] == 0:
-            rows.append(
-                {
-                    "min_lifespan": candidate,
-                    "applicable": False,
-                    "reason": "no change point detected for any eligible engine",
-                }
-            )
-            continue
         run_train(sub_cfg, outcomes=outcomes, write=True)
         report = run_evaluate(sub_cfg, write=write)
         rows.append(

@@ -11,6 +11,7 @@ persistence, and an RUL estimate per cycle after that.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -189,22 +190,45 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _finite_float(text: str) -> float:
+    """A JSON number or constant (NaN, Infinity), refused unless finite."""
+    value = float(text)
+    if not math.isfinite(value):  # also 1e999, which parses to inf
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
+def _read_artifact(path):
+    """A JSON artifact with finite numbers only; strict JSON has no NaN or inf,
+    so a monitor holding one could not be streamed."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
+        except (ValueError, RecursionError) as exc:
+            raise IntegrityError(f"{path} is not valid JSON: {exc}") from None
+
+
 def load_monitors(monitors_dir):
     """Load the per-unit monitor artifacts written by the detect command."""
     manifest_path = os.path.join(monitors_dir, "manifest.json")
     if not os.path.exists(manifest_path):
         raise IntegrityError(f"no monitor manifest at {manifest_path}")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    manifest = _read_artifact(manifest_path)
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("units"), list):
+        raise IntegrityError(f"{manifest_path} holds no list of units")
     kept = check_kept_indices(manifest.get("kept_indices"), "monitor manifest")
     monitors = {}
     for unit in manifest["units"]:
         if not _is_int(unit):
             raise IntegrityError(f"monitor manifest unit {unit!r} is not an int")
         path = os.path.join(monitors_dir, f"unit_{unit:04d}.json")
-        with open(path) as fh:
-            monitors[unit] = MonitorModel.from_dict(json.load(fh))
-        if len(monitors[unit].cva.standardizer.mean) != len(kept):
+        payload = _read_artifact(path)
+        try:
+            monitors[unit] = MonitorModel.from_dict(payload)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise IntegrityError(f"{path} is not a monitor: {type(exc).__name__}: {exc}") from None
+        standardizer = monitors[unit].cva.standardizer
+        if standardizer is None or len(standardizer.mean) != len(kept):
             raise IntegrityError(f"{path} does not monitor the manifest's {len(kept)} sensors")
     return monitors, manifest
 

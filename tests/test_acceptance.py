@@ -167,17 +167,17 @@ def test_score_function_spot_values():
 
 
 def test_piecewise_label_shape():
-    spec = piecewise_rul_labels(344, 240)
-    diffs = np.diff(spec.labels)
+    labels = piecewise_rul_labels(344, 240)
+    diffs = np.diff(labels)
     slope_starts = np.sum(np.diff((diffs == -1).astype(int)) == 1)
     ok = (
-        spec.y_max == 104
+        labels.max() == 104
         and np.all(diffs <= 0)
         and set(diffs.tolist()) == {0, -1}
         and slope_starts == 1
-        and spec.labels[-1] == 0
+        and labels[-1] == 0
     )
-    report(ok, f"change point at 240 of 344 caps labels at {spec.y_max}; one slope change")
+    report(ok, f"change point at 240 of 344 caps labels at {labels.max()}; one slope change")
 
 
 def test_synthetic_corpus_detection():
@@ -187,13 +187,14 @@ def test_synthetic_corpus_detection():
         k_max = 215 + 6 * i
         injected = k_max - (55 + 3 * i)
         series = make_engine_series(i + 1, k_max, injected, seed=1000 + i, n_channels=5)
-        monitor, result = fit_device_monitor(series, cfg)
+        result = fit_device_monitor(series, cfg)
+        monitor = result.monitor
         if result.k_cp is not None and abs(result.k_cp - injected) <= monitor.persistence + 5:
             within += 1
     false_detections = 0
     for i in range(10):
         series = make_engine_series(i + 1, 250 + 7 * i, None, seed=20 + i, n_channels=5)
-        _, result = fit_device_monitor(series, cfg)
+        result = fit_device_monitor(series, cfg)
         if result.k_cp is not None:
             false_detections += 1
     ok = within >= 27 and false_detections == 0
@@ -201,6 +202,27 @@ def test_synthetic_corpus_detection():
         ok,
         f"synthetic corpus: {within}/30 devices within persistence+5 of injected change "
         f"point; {false_detections} false detections on 10 stationary devices",
+    )
+
+
+def test_change_point_labels_beat_uniform_cap(tmp_path):
+    """The paper's claim without the LSTM: on a fleet with injected change
+    points, labels from the detected change points lie closer to the
+    injected-truth labels than the uniform-cap labels do."""
+    truth = write_corpus(tmp_path, n_train=20, n_test=8, seed=11, short_every=5)
+    cfg = default_config("FD001", data_dir=str(tmp_path), out_dir=str(tmp_path / "out"))
+    outcomes, _ = run_detect(cfg, write=False)
+    errors = {"detected": [], "uniform": []}
+    for o in outcomes:
+        true = piecewise_rul_labels(o.k_max, truth[o.unit_id])
+        for arm, k_cp in (("detected", o.k_cp), ("uniform", None)):
+            labels = piecewise_rul_labels(o.k_max, k_cp, cfg.fallback_cap)
+            errors[arm].append(np.abs(labels - true))
+    detected, uniform = (float(np.concatenate(e).mean()) for e in errors.values())
+    report(
+        detected < uniform,
+        f"label MAE against injected truth: {detected:.1f} from detected change points, "
+        f"{uniform:.1f} with the uniform cap ({len(outcomes)} engines)",
     )
 
 

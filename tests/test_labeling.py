@@ -14,30 +14,30 @@ from changepoint_rul.cva import apply_standardizer
 
 class TestPiecewiseLabels:
     def test_change_point_sets_cap(self):
-        spec = piecewise_rul_labels(344, 240)
-        assert spec.y_max == 104
-        assert spec.labels[0] == 104
-        assert spec.labels[-1] == 0
-        assert len(spec.labels) == 344
+        labels = piecewise_rul_labels(344, 240)
+        assert labels.max() == 104
+        assert labels[0] == 104
+        assert labels[-1] == 0
+        assert len(labels) == 344
 
     def test_fallback_cap(self):
-        spec = piecewise_rul_labels(150, None, fallback_cap=130)
-        assert spec.y_max == 130
-        assert spec.labels[0] == 130
-        assert spec.labels[149] == 0
+        labels = piecewise_rul_labels(150, None, fallback_cap=130)
+        assert labels.max() == 130
+        assert labels[0] == 130
+        assert labels[149] == 0
         # decay starts at cycle k_max - cap = 20
-        assert spec.labels[19] == 130
-        assert spec.labels[20] == 129
+        assert labels[19] == 130
+        assert labels[20] == 129
 
     def test_boundary_change_point(self):
-        spec = piecewise_rul_labels(100, 99)
-        assert spec.y_max == 1
-        assert np.all(spec.labels[:99] == 1)
-        assert spec.labels[99] == 0
+        labels = piecewise_rul_labels(100, 99)
+        assert labels.max() == 1
+        assert np.all(labels[:99] == 1)
+        assert labels[99] == 0
 
     def test_nonincreasing_single_slope_change(self):
-        spec = piecewise_rul_labels(300, 180)
-        diffs = np.diff(spec.labels)
+        labels = piecewise_rul_labels(300, 180)
+        diffs = np.diff(labels)
         assert np.all(diffs <= 0)
         assert set(diffs.tolist()) == {0, -1}
         # exactly one transition from flat to decaying
@@ -79,9 +79,9 @@ class TestSlidingWindows:
         assert ds.end_cycles[0] == 50
 
     def test_end_of_life_window_target_zero(self):
-        spec = piecewise_rul_labels(344, 240)
+        labels = piecewise_rul_labels(344, 240)
         x = np.zeros((344, 3))
-        ds = sliding_windows(x, spec.labels, 50, unit_id=116)
+        ds = sliding_windows(x, labels, 50, unit_id=116)
         assert ds.targets[-1] == 0.0
         assert ds.end_cycles[-1] == 344
 

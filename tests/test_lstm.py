@@ -11,7 +11,6 @@ from changepoint_rul.labeling import WindowedDataset
 from changepoint_rul.lstm import (
     LstmLayer,
     TrainConfig,
-    adam_step,
     _forward_batch,
     clip_gradients,
     init_regressor,
@@ -217,12 +216,6 @@ class TestOptimizers:
             rmsprop_step(params, grads={"w": np.array([2.0])}, state=state, lr=lr)
         assert abs(prev - value[0]) == pytest.approx(lr, rel=1e-3)
 
-    def test_adam_moves_against_gradient(self):
-        value = np.array([1.0])
-        params = [("w", value)]
-        adam_step(params, {"w": np.array([3.0])}, {}, lr=0.1)
-        assert value[0] < 1.0
-
     def test_clip_gradients_scales_global_norm(self):
         grads = {"a": np.array([3.0, 4.0]), "b": np.array([0.0])}
         total = clip_gradients(grads, 1.0)
@@ -309,8 +302,9 @@ class TestTraining:
             train(ds, cfg)
 
     def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(optimizer="sgd").validate()
+        for optimizer in ("sgd", "adam"):
+            with pytest.raises(ConfigError, match=f"unknown optimizer '{optimizer}'"):
+                TrainConfig(optimizer=optimizer).validate()
         with pytest.raises(ConfigError):
             TrainConfig(learning_rate=0.0).validate()
         with pytest.raises(ConfigError):

@@ -185,7 +185,7 @@ class TestValidateNormalWindow:
     def test_all_below_passes(self):
         series = make_engine_series(1, 260, None, seed=20, n_channels=5)
         cfg = PipelineConfig(r=5)
-        monitor, _ = fit_device_monitor(series, cfg)
+        monitor = fit_device_monitor(series, cfg).monitor
         stats = StatisticSeries(t2=np.zeros(20), q=np.zeros(20), start_cycle=61)
         report = validate_normal_window(monitor, stats)
         assert report.t2_breach_fraction == 0.0
@@ -194,7 +194,7 @@ class TestValidateNormalWindow:
     def test_injected_validation_drift_flags(self):
         series = make_engine_series(1, 260, None, seed=21, n_channels=5)
         cfg = PipelineConfig(r=5)
-        monitor, _ = fit_device_monitor(series, cfg)
+        monitor = fit_device_monitor(series, cfg).monitor
         sensors = series.sensors.copy()
         sensors[60:80] += 8.0  # drift through the whole validation window
         stats = statistic_trace(monitor, sensors).slice_cycles(61, 80)
@@ -206,7 +206,7 @@ class TestValidateNormalWindow:
         for seed in range(8):
             series = make_engine_series(1, 250, None, seed=30 + seed, n_channels=5)
             cfg = PipelineConfig(r=5)
-            monitor, _ = fit_device_monitor(series, cfg)
+            monitor = fit_device_monitor(series, cfg).monitor
             report = validation_report(monitor, series, cfg)
             flags.append(report.flagged)
         assert sum(flags) <= 2  # occasional flags allowed, most devices clean
@@ -218,7 +218,7 @@ class TestFitDeviceMonitor:
 
         series = make_engine_series(9, 150, None, seed=1, n_channels=5)
         cfg = PipelineConfig(r=5, min_lifespan=200)
-        monitor, _ = fit_device_monitor(series, cfg)  # long enough to monitor
+        monitor = fit_device_monitor(series, cfg).monitor  # long enough to monitor
         assert monitor.persistence >= 0
         outcome = detect_device(series, cfg)  # but below the minimum lifespan
         assert outcome.method == "fallback_cap"
@@ -226,20 +226,21 @@ class TestFitDeviceMonitor:
 
     def test_stationary_engine_detects_nothing(self):
         series = make_engine_series(2, 250, None, seed=20, n_channels=5)
-        _, result = fit_device_monitor(series, PipelineConfig(r=5))
+        result = fit_device_monitor(series, PipelineConfig(r=5))
         assert result.k_cp is None
         assert result.method == "fallback_cap"
 
     def test_injected_change_point_found(self):
         series = make_engine_series(3, 320, 240, seed=4, n_channels=5)
-        monitor, result = fit_device_monitor(series, PipelineConfig(r=5))
+        result = fit_device_monitor(series, PipelineConfig(r=5))
+        monitor = result.monitor
         assert result.method == "detected"
         assert abs(result.k_cp - 240) <= monitor.persistence + 5
 
     def test_training_statistics_mostly_below_limits(self):
         series = make_engine_series(4, 260, None, seed=22, n_channels=5)
         cfg = PipelineConfig(r=5)
-        monitor, _ = fit_device_monitor(series, cfg)
+        monitor = fit_device_monitor(series, cfg).monitor
         stats = statistic_trace(monitor, series.sensors).slice_cycles(3, 60)
         frac_t2 = np.mean(stats.t2 < monitor.cl_t2)
         frac_q = np.mean(stats.q < monitor.cl_q)
@@ -262,7 +263,7 @@ class TestFitDeviceMonitor:
         # in its last bit when the normal window's columns are projected alone.
         series = make_engine_series(7, 320, k_cp, seed=seed, n_channels=n_channels)
         cfg = PipelineConfig(r=r)
-        monitor, _ = fit_device_monitor(series, cfg)
+        monitor = fit_device_monitor(series, cfg).monitor
         stats = statistic_trace(monitor, series.sensors)
         in_sample = stats.slice_cycles(cfg.p + 1, cfg.normal_window - cfg.p + 1)
         assert monitor.cl_t2 == kde_control_limit(in_sample.t2, cfg.alpha)
@@ -271,7 +272,8 @@ class TestFitDeviceMonitor:
     def test_persistence_covers_pre_change_runs(self):
         series = make_engine_series(5, 300, 230, seed=6, n_channels=5)
         cfg = PipelineConfig(r=5)
-        monitor, result = fit_device_monitor(series, cfg)
+        result = fit_device_monitor(series, cfg)
+        monitor = result.monitor
         stats = statistic_trace(monitor, series.sensors)
         pre = stats.slice_cycles(3, result.k_cp - 1)
         assert monitor.persistence == compute_lambda(pre, monitor.cl_t2, monitor.cl_q)
@@ -283,7 +285,7 @@ class TestFitDeviceMonitor:
             k_max = 215 + 11 * i
             k_cp = k_max - (50 + 2 * i)
             series = make_engine_series(i, k_max, k_cp, seed=60 + i, n_channels=5)
-            _, result = fit_device_monitor(series, PipelineConfig(r=5))
+            result = fit_device_monitor(series, PipelineConfig(r=5))
             if result.k_cp is not None:
                 lifespans.append(k_max)
                 points.append(result.k_cp)
@@ -295,7 +297,7 @@ class TestFitDeviceMonitor:
         from changepoint_rul.monitoring import MonitorModel
 
         series = make_engine_series(6, 260, 210, seed=8, n_channels=5)
-        monitor, _ = fit_device_monitor(series, PipelineConfig(r=5))
+        monitor = fit_device_monitor(series, PipelineConfig(r=5)).monitor
         clone = MonitorModel.from_dict(monitor.to_dict())
         assert clone.cl_t2 == monitor.cl_t2
         assert clone.persistence == monitor.persistence

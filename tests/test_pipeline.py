@@ -255,7 +255,9 @@ class TestSweep:
         rows = run_sweep(cfg, [60, 1000, 200])
         by_cand = {r["min_lifespan"]: r for r in rows}
         assert not by_cand[60]["applicable"]  # below first monitorable lifespan
-        assert not by_cand[1000]["applicable"]  # nothing detected
+        uniform = by_cand[1000]  # above every lifespan: all engines on the fallback cap
+        assert uniform["applicable"] and uniform["n_detected"] == 0
+        assert uniform["n_fallback"] == 12 and np.isfinite([uniform["rmse"], uniform["sf"]]).all()
         assert by_cand[200]["applicable"]
         # single-candidate sweep reduces to a plain train+evaluate run
         direct_cfg = default_config(
@@ -270,6 +272,20 @@ class TestSweep:
         sweep_csv = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
         assert sweep_csv[0] == "min_lifespan,rmse,sf"
         assert any("NA" in line for line in sweep_csv[1:])
+
+    def test_uniform_cap_arm_from_cli(self, corpus, tmp_path, capsys):
+        """``sweep --candidates 200,100000`` scores change-point labels against
+        uniform-cap labels with the same network."""
+        config = dict(SMALL_NET, data_dir=corpus[0], out_dir=str(tmp_path), seed=1)
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = ["sweep", "--config", str(tmp_path / "cfg.json"), "--candidates", "200,100000"]
+        assert main(argv) == 0
+        printed = [line for line in capsys.readouterr().out.splitlines() if "min_lifespan" in line]
+        assert [line.split()[0] for line in printed] == ["min_lifespan=200", "min_lifespan=100000"]
+        assert all("RMSE=" in line for line in printed)
+        rows = json.loads((tmp_path / "sweep.json").read_text())
+        assert rows[0]["n_detected"] > 0 and rows[1]["n_detected"] == 0
+        assert rows[1]["rmse"] != rows[0]["rmse"]
 
 
 class TestCli:
@@ -456,6 +472,84 @@ class TestCli:
         assert main(["monitor", "--monitors", str(copy), "--input", stream_path]) == 2
         out, err = capsys.readouterr()
         assert out == "" and match in err
+
+    @pytest.mark.parametrize(
+        "name,corrupt",
+        [
+            ("manifest.json", lambda p: _without(p, "units")),
+            ("manifest.json", lambda p: json.dumps(p)[:40]),
+            ("unit", lambda p: _without(p, "cl_q")),
+            ("unit", lambda p: dict(p, cva=dict(p["cva"], w=np.full_like(p["cva"]["w"], np.nan).tolist()))),
+            ("unit", lambda p: json.dumps(p).replace(f'"cl_q": {p["cl_q"]}', '"cl_q": 1e999')),
+        ],
+        ids=["manifest_without_units", "truncated_manifest", "unit_without_cl_q", "nan_in_w", "inf_limit"],
+    )
+    def test_monitor_rejects_corrupt_artifact(self, one_record, tmp_path, capsys, name, corrupt):
+        monitors_dir, stream_path = one_record
+        copy = tmp_path / "monitors"
+        shutil.copytree(monitors_dir, copy)
+        if name == "unit":
+            unit = json.loads((copy / "manifest.json").read_text())["units"][0]
+            name = f"unit_{unit:04d}.json"
+        payload = corrupt(json.loads((copy / name).read_text()))
+        (copy / name).write_text(payload if isinstance(payload, str) else json.dumps(payload))
+        assert main(["monitor", "--monitors", str(copy), "--input", stream_path]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {copy / name} ")
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda path, _: path.write_text("unit cycle sensors\n"),
+            lambda path, data: path.write_bytes(data[: len(data) // 2]),
+            lambda path, _: path.write_bytes(b""),
+            lambda path, _: _rewrite_header(path, lambda h: _without(h, "input_dim")),
+            lambda path, _: _rewrite_header(path, lambda h: dict(h, meta=_without(h["meta"], "pooled_std"))),
+        ],
+        ids=["text", "truncated", "empty", "header_without_input_dim", "meta_without_pooled_std"],
+    )
+    def test_corrupt_checkpoint_exits_2(self, trained_run, one_record, tmp_path, capsys, corrupt):
+        cfg = trained_run[0]
+        path = tmp_path / "corrupt.npz"
+        shutil.copy(os.path.join(cfg.out_dir, "checkpoint.npz"), path)
+        corrupt(path, path.read_bytes())
+        monitors_dir, stream_path = one_record
+        argv = ["evaluate", "--data-dir", cfg.data_dir, "--out-dir", str(tmp_path)]
+        assert main(argv + ["--checkpoint", str(path)]) == 2
+        argv = ["monitor", "--monitors", monitors_dir, "--input", stream_path]
+        assert main(argv + ["--checkpoint", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count(f"checkpoint {path}") == 2
+
+    def test_missing_checkpoint_exits_2(self, trained_run, tmp_path, capsys):
+        cfg = trained_run[0]
+        argv = ["evaluate", "--data-dir", cfg.data_dir, "--out-dir", str(tmp_path)]
+        assert main(argv + ["--checkpoint", str(tmp_path / "none.npz")]) == 2
+        assert capsys.readouterr().err.startswith("error: missing input file")
+
+    def test_non_integer_sweep_candidate_exits_1(self, corpus, tmp_path, capsys):
+        argv = ["sweep", "--data-dir", corpus[0], "--out-dir", str(tmp_path)]
+        assert main(argv + ["--candidates", "100,abc"]) == 1
+        assert capsys.readouterr().err == "error: sweep candidate 'abc' is not an integer\n"
+        assert not os.listdir(tmp_path)
+
+    def test_negative_seed_exits_1(self, corpus, tmp_path, capsys):
+        argv = ["train", "--data-dir", corpus[0], "--out-dir", str(tmp_path), "--seed", "-5"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -5\n"
+
+
+def _without(payload: dict, key: str) -> dict:
+    return {k: v for k, v in payload.items() if k != key}
+
+
+def _rewrite_header(path, edit):
+    """Re-save a checkpoint with its JSON header passed through ``edit``."""
+    with np.load(path) as payload:
+        arrays = {name: payload[name] for name in payload.files}
+    header = edit(json.loads(bytes(arrays["header"]).decode()))
+    arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+    np.savez(path, **arrays)
 
 
 def test_stream_reproduces_offline_statistic_trace(corpus, detect_run):

@@ -21,7 +21,7 @@ st = pytest.importorskip("hypothesis.strategies")
 
 M = 5
 SERIES = make_engine_series(1, 200, None, seed=21, n_channels=M)
-MONITOR, _ = fit_device_monitor(SERIES, PipelineConfig(r=M))
+MONITOR = fit_device_monitor(SERIES, PipelineConfig(r=M)).monitor
 # Unit 2 declares its change point on the first breach, so RUL estimates follow.
 MONITORS = {1: MONITOR, 2: replace(MONITOR, persistence=0)}
 REGRESSOR = init_regressor(M, (4,), (), sequence_length=6)

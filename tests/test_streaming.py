@@ -205,7 +205,8 @@ class TestInjectedShift:
         from changepoint_rul.monitoring import fit_device_monitor
 
         series = make_engine_series(1, 260, None, seed=21, n_channels=5)
-        monitor, result = fit_device_monitor(series, PipelineConfig(r=5))
+        result = fit_device_monitor(series, PipelineConfig(r=5))
+        monitor = result.monitor
         assert result.k_cp is None
 
         shift_at = 150
