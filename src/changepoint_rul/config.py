@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, replace
 
 from .cmapss import DATASETS
 from .errors import ConfigError
+from .lstm import TrainConfig
 
 # Tuned per-dataset values: retained variates plus the LSTM grid winners.
 DATASET_DEFAULTS = {
@@ -91,7 +92,23 @@ class PipelineConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.subset is not None and self.subset < 1:
             raise ConfigError("subset size must be >= 1 when given")
+        self.train_config().validate()  # before detect writes anything
         return self
+
+    def train_config(self) -> TrainConfig:
+        """The training settings in the form ``lstm.train`` takes."""
+        return TrainConfig(
+            sequence_length=self.sequence_length,
+            hidden_sizes=tuple(self.hidden_sizes),
+            dropout_ratios=tuple(self.dropout_ratios),
+            learning_rate=self.learning_rate,
+            epochs=self.epochs,
+            batch_size=self.batch_size,
+            optimizer=self.optimizer,
+            seed=self.seed,
+            grad_clip=self.grad_clip,
+            label_cap=float(self.fallback_cap),
+        )
 
     def to_dict(self) -> dict:
         payload = asdict(self)

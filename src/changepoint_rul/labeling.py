@@ -2,6 +2,11 @@
 
 Matrices in this module are cycle-major: (N, m) with one row per cycle, the
 orientation the windowed regressor consumes.
+
+A training set holds each engine's standardized rows once, stacked into one
+array, plus the start row of every window. A batch's (B, L, m) windows are
+gathered when it is indexed, so the (n, L, m) tensor, which repeats each row
+up to L times, is never built.
 """
 
 from __future__ import annotations
@@ -46,11 +51,49 @@ def pooled_standardizer(segments) -> Standardizer:
     return fit_standardizer(stacked.T)
 
 
+class WindowView:
+    """Length-L windows over one (R, m) row array, gathered when indexed.
+
+    Window i covers ``rows[starts[i] : starts[i] + length]``. Indexing by an
+    int, a slice or an int array returns a fresh ndarray, (L, m) or (k, L, m),
+    equal to ``np.stack`` of those slices; ``np.asarray`` gives the whole
+    (n, L, m) tensor. ``nbytes`` is that tensor's size, which is never held.
+    """
+
+    def __init__(self, rows: np.ndarray, starts: np.ndarray, length: int):
+        self.rows = rows
+        self.starts = starts
+        self.length = length
+
+    @property
+    def shape(self) -> tuple:
+        return (len(self.starts), self.length, self.rows.shape[1])
+
+    @property
+    def nbytes(self) -> int:
+        return len(self.starts) * self.length * self.rows.shape[1] * self.rows.itemsize
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, idx) -> np.ndarray:
+        return self.rows[np.add.outer(self.starts[idx], np.arange(self.length))]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError("gathered windows cannot be returned without a copy")
+        return self[:] if dtype is None else self[:].astype(dtype, copy=False)
+
+
 @dataclass(frozen=True)
 class WindowedDataset:
-    """Fixed-length training windows with the RUL label at each window's end."""
+    """Fixed-length training windows with the RUL label at each window's end.
 
-    windows: np.ndarray  # (n, L, m)
+    ``windows`` is a WindowView, or a dense (n, L, m) array for a sample
+    already gathered; indexing either gives the same ndarray.
+    """
+
+    windows: WindowView | np.ndarray  # (n, L, m)
     targets: np.ndarray  # (n,)
     units: np.ndarray  # (n,) provenance
     end_cycles: np.ndarray  # (n,) provenance
@@ -68,11 +111,19 @@ class WindowedDataset:
 
     @classmethod
     def concatenate(cls, parts) -> "WindowedDataset":
+        """Join datasets from ``sliding_windows``: their rows are stacked once
+        and each part's window starts shifted past the rows before it."""
         parts = list(parts)
         if not parts:
             raise InsufficientDataError("no windowed data to concatenate")
+        views = [p.windows for p in parts]
+        offsets = np.cumsum([0] + [len(v.rows) for v in views[:-1]])
         return cls(
-            windows=np.concatenate([p.windows for p in parts]),
+            windows=WindowView(
+                np.concatenate([v.rows for v in views]),
+                np.concatenate([v.starts + offset for v, offset in zip(views, offsets)]),
+                views[0].length,
+            ),
             targets=np.concatenate([p.targets for p in parts]),
             units=np.concatenate([p.units for p in parts]),
             end_cycles=np.concatenate([p.end_cycles for p in parts]),
@@ -84,11 +135,12 @@ def sliding_windows(
 ) -> WindowedDataset:
     """Cut a (N, m) matrix into length-L windows ending at cycles L..N.
 
-    The target of each window is the label at its final cycle. Raises
-    InsufficientDataError when the series is shorter than one window; the
-    pipeline skips such devices with a warning.
+    The windows are a view over a private C-contiguous copy of ``x``, with
+    one start row per window. The target of each window is the label at its
+    final cycle. Raises InsufficientDataError when the series is shorter
+    than one window; the pipeline skips such devices with a warning.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.array(x, dtype=float, order="C")
     labels = np.asarray(labels)
     n = x.shape[0]
     if labels.shape[0] != n:
@@ -98,9 +150,8 @@ def sliding_windows(
     if n < length:
         raise InsufficientDataError(f"unit {unit_id}: {n} cycles < window length {length}")
     ends = np.arange(length, n + 1)
-    windows = np.stack([x[e - length : e] for e in ends])
     return WindowedDataset(
-        windows=windows,
+        windows=WindowView(x, ends - length, length),
         targets=labels[ends - 1].astype(float),
         units=np.full(len(ends), unit_id, dtype=int),
         end_cycles=ends.astype(int),

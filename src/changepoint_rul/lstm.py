@@ -98,6 +98,19 @@ def _init_layer(d_in: int, h: int, rng: np.random.Generator) -> LstmLayer:
     return LstmLayer(wx, wh, b)
 
 
+def _check_architecture(hidden_sizes: tuple, dropout_ratios: tuple) -> None:
+    """Refuse a layer stack that ``init_regressor`` cannot build."""
+    if not hidden_sizes or any(h < 1 for h in hidden_sizes):
+        raise ConfigError(f"hidden sizes must be positive, got {hidden_sizes}")
+    if len(dropout_ratios) != len(hidden_sizes) - 1:
+        raise ConfigError(
+            f"{len(hidden_sizes)} layers need {len(hidden_sizes) - 1} inter-layer "
+            f"dropout ratios, got {len(dropout_ratios)}"
+        )
+    if any(not 0.0 <= d < 1.0 for d in dropout_ratios):
+        raise ConfigError(f"dropout ratios must lie in [0, 1), got {dropout_ratios}")
+
+
 def init_regressor(
     input_dim: int,
     hidden_sizes,
@@ -108,15 +121,7 @@ def init_regressor(
 ) -> LstmRegressor:
     hidden_sizes = tuple(int(h) for h in hidden_sizes)
     dropout_ratios = tuple(float(d) for d in dropout_ratios)
-    if not hidden_sizes or any(h < 1 for h in hidden_sizes):
-        raise ConfigError(f"hidden sizes must be positive, got {hidden_sizes}")
-    if len(dropout_ratios) != len(hidden_sizes) - 1:
-        raise ConfigError(
-            f"{len(hidden_sizes)} layers need {len(hidden_sizes) - 1} inter-layer "
-            f"dropout ratios, got {len(dropout_ratios)}"
-        )
-    if any(not 0.0 <= d < 1.0 for d in dropout_ratios):
-        raise ConfigError(f"dropout ratios must lie in [0, 1), got {dropout_ratios}")
+    _check_architecture(hidden_sizes, dropout_ratios)
     rng = np.random.default_rng(seed)
     layers = []
     d_in = input_dim
@@ -371,6 +376,7 @@ class TrainConfig:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}; only 'rmsprop' is supported")
         if self.grad_clip is not None and self.grad_clip <= 0:
             raise ConfigError("gradient clip norm must be positive when set")
+        _check_architecture(tuple(self.hidden_sizes), tuple(self.dropout_ratios))
 
 
 def train(dataset: WindowedDataset, config: TrainConfig):

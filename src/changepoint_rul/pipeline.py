@@ -28,7 +28,7 @@ from .labeling import (
     sliding_windows,
     trailing_window,
 )
-from .lstm import TrainConfig, load_checkpoint, predict_batch, save_checkpoint, train
+from .lstm import load_checkpoint, predict_batch, save_checkpoint, train
 from .metrics import EvalReport, evaluate_predictions, format_metrics_row
 from .monitoring import REPORT_COLUMNS, DeviceOutcome, fit_device_monitor, statistic_trace
 
@@ -219,19 +219,7 @@ def run_train(config: PipelineConfig, engines=None, outcomes=None, write: bool =
         outcomes, _ = run_detect(config, engines=selected, write=write)
 
     pooled, windowed = build_training_data(config, selected, outcomes)
-    train_cfg = TrainConfig(
-        sequence_length=config.sequence_length,
-        hidden_sizes=tuple(config.hidden_sizes),
-        dropout_ratios=tuple(config.dropout_ratios),
-        learning_rate=config.learning_rate,
-        epochs=config.epochs,
-        batch_size=config.batch_size,
-        optimizer=config.optimizer,
-        seed=config.seed,
-        grad_clip=config.grad_clip,
-        label_cap=float(config.fallback_cap),
-    )
-    model, history = train(windowed, train_cfg)
+    model, history = train(windowed, config.train_config())
     meta = {
         "dataset": config.dataset_id,
         "kept_indices": list(selection.kept_indices),

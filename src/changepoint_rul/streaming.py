@@ -97,10 +97,13 @@ class StreamMonitor:
             return [self._reject("unit and cycle must be integers", record)]
         if unit not in self.monitors:
             return [self._reject(f"unknown unit {unit}", record)]
-        try:
-            sensors = np.asarray(record["sensors"], dtype=float)
-        except (TypeError, ValueError, OverflowError):
+        readings = record["sensors"]
+        if not (isinstance(readings, list) and all(map(_is_reading, readings))):
             return [self._reject("sensors must be numbers", record)]
+        try:
+            sensors = np.asarray(readings, dtype=float)
+        except OverflowError:  # an int beyond the float range
+            return [self._reject(f"sensors must be finite, at most {MAX_ABS_READING:g}", record)]
         if sensors.ndim != 1 or sensors.shape[0] not in (N_SENSORS, self.m):
             return [
                 self._reject(
@@ -190,6 +193,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_reading(value) -> bool:
+    """True for a JSON number; text and bools are not sensor readings."""
+    return isinstance(value, float) or _is_int(value)
+
+
 def _finite_float(text: str) -> float:
     """A JSON number or constant (NaN, Infinity), refused unless finite."""
     value = float(text)
@@ -227,9 +235,20 @@ def load_monitors(monitors_dir):
             monitors[unit] = MonitorModel.from_dict(payload)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise IntegrityError(f"{path} is not a monitor: {type(exc).__name__}: {exc}") from None
-        standardizer = monitors[unit].cva.standardizer
-        if standardizer is None or len(standardizer.mean) != len(kept):
+        cva = monitors[unit].cva
+        if cva.standardizer is None or len(cva.standardizer.mean) != len(kept):
             raise IntegrityError(f"{path} does not monitor the manifest's {len(kept)} sensors")
+        mp = len(kept) * cva.p
+        if (
+            cva.p < 1
+            or cva.w.shape != (mp, mp)
+            or cva.vr.shape != (mp, cva.r)
+            or cva.singular_values.size < cva.r
+        ):
+            raise IntegrityError(
+                f"{path} holds no CVA model of {len(kept)} sensors at p={cva.p}, r={cva.r}: "
+                f"w {cva.w.shape}, vr {cva.vr.shape}, {cva.singular_values.size} singular values"
+            )
     return monitors, manifest
 
 

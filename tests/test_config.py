@@ -64,6 +64,28 @@ def test_validation_errors(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "overrides,match",
+    [
+        ({"optimizer": "sgd"}, "unknown optimizer 'sgd'"),
+        ({"learning_rate": 0.0}, "learning rate must be positive"),
+        ({"epochs": -1}, "epochs must be >= 0"),
+        ({"batch_size": 0}, "batch size >= 1"),
+        ({"sequence_length": 0}, "sequence length must be >= 1"),
+        ({"grad_clip": 0.0}, "gradient clip norm must be positive"),
+        ({"hidden_sizes": (8, 0), "dropout_ratios": (0.1,)}, "hidden sizes must be positive"),
+        ({"hidden_sizes": (8, 4)}, "2 layers need 1 inter-layer dropout ratios, got 2"),
+        ({"dropout_ratios": (0.2, 1.0)}, "dropout ratios must lie in"),
+    ],
+)
+def test_training_settings_validated_with_the_config(overrides, match):
+    with pytest.raises(ConfigError, match=match):
+        default_config("FD001", **overrides)
+    payload = dict(default_config("FD001").to_dict(), **overrides)
+    with pytest.raises(ConfigError, match=match):
+        PipelineConfig.from_dict(payload)
+
+
+@pytest.mark.parametrize(
     "key,value",
     [
         ("alpha", "0.99"),

@@ -1,6 +1,10 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from changepoint_rul.config import default_config
 from changepoint_rul.errors import InsufficientDataError, IntegrityError
 from changepoint_rul.labeling import (
     WindowedDataset,
@@ -10,6 +14,9 @@ from changepoint_rul.labeling import (
     trailing_window,
 )
 from changepoint_rul.cva import apply_standardizer
+from changepoint_rul.pipeline import _selected_train_engines, build_training_data, run_detect
+
+from synthetic import write_corpus
 
 
 class TestPiecewiseLabels:
@@ -115,3 +122,68 @@ class TestTrailingWindow:
 def test_concatenate_requires_parts():
     with pytest.raises(InsufficientDataError):
         WindowedDataset.concatenate([])
+
+
+@pytest.fixture(scope="module")
+def desk_fleet(tmp_path_factory):
+    """The desk corpus's selected train engines and their detection outcomes."""
+    data_dir = tmp_path_factory.mktemp("desk")
+    write_corpus(data_dir, n_train=20, n_test=8, seed=11, short_every=5)
+    config = default_config("FD001", data_dir=str(data_dir))
+    _, engines = _selected_train_engines(config, None)
+    outcomes, _ = run_detect(config, engines=engines, write=False)
+    return config, engines, outcomes
+
+
+class TestTrainingWindows:
+    def test_gathered_windows_equal_stacked_slices(self, desk_fleet):
+        config, engines, outcomes = desk_fleet
+        # L is the second-shortest lifespan: one engine fills exactly one
+        # window, the shortest is skipped
+        lifespans = sorted({e.k_max for e in engines})
+        length = lifespans[1]
+        assert sum(e.k_max == lifespans[0] for e in engines) == 1
+        pooled, ds = build_training_data(
+            replace(config, sequence_length=length), engines, outcomes
+        )
+
+        by_unit = {o.unit_id: o for o in outcomes}
+        windows, targets, units, ends = [], [], [], []
+        for e in engines:
+            if e.k_max < length:
+                continue
+            x = apply_standardizer(pooled, e.sensors.T).T
+            labels = piecewise_rul_labels(e.k_max, by_unit[e.unit_id].k_cp, config.fallback_cap)
+            for end in range(length, e.k_max + 1):
+                windows.append(x[end - length : end])
+                targets.append(labels[end - 1])
+                units.append(e.unit_id)
+                ends.append(end)
+        dense = np.stack(windows)
+        assert ds.windows.shape == dense.shape == (len(ds), length, 14)
+        np.testing.assert_array_equal(ds.targets, targets)
+        np.testing.assert_array_equal(ds.units, units)
+        np.testing.assert_array_equal(ds.end_cycles, ends)
+        exact = next(e.unit_id for e in engines if e.k_max == length)
+        short = next(e.unit_id for e in engines if e.k_max < length)
+        assert units.count(exact) == 1 and short not in units
+
+        # each window equals its own engine's slice, so none spans two engines
+        np.testing.assert_array_equal(np.asarray(ds.windows), dense)
+        for i in (0, len(ds) // 2, len(ds) - 1, -1):
+            np.testing.assert_array_equal(ds.windows[i], dense[i])
+        for part in (slice(None), slice(3, 40), slice(None, None, -7)):
+            np.testing.assert_array_equal(ds.windows[part], dense[part])
+        pick = np.random.default_rng(0).choice(len(ds), 64, replace=False)
+        np.testing.assert_array_equal(ds.windows[pick], dense[pick])
+        assert ds.windows.nbytes == dense.nbytes
+
+    def test_build_holds_no_window_tensor(self, desk_fleet):
+        config, engines, outcomes = desk_fleet
+        tracemalloc.start()
+        try:
+            _, ds = build_training_data(config, engines, outcomes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < ds.windows.nbytes / 10

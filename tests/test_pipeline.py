@@ -481,8 +481,21 @@ class TestCli:
             ("unit", lambda p: _without(p, "cl_q")),
             ("unit", lambda p: dict(p, cva=dict(p["cva"], w=np.full_like(p["cva"]["w"], np.nan).tolist()))),
             ("unit", lambda p: json.dumps(p).replace(f'"cl_q": {p["cl_q"]}', '"cl_q": 1e999')),
+            # FD001 has 14 sensors, so p=2 past vectors have 28 rows
+            ("unit", lambda p: dict(p, cva=dict(p["cva"], w=_cut(p["cva"]["w"], 27, 27), vr=_cut(p["cva"]["vr"], 27, 15)))),
+            ("unit", lambda p: dict(p, cva=dict(p["cva"], vr=_cut(p["cva"]["vr"], 28, 14)))),
+            ("unit", lambda p: dict(p, cva=dict(p["cva"], singular_values=p["cva"]["singular_values"][:14]))),
         ],
-        ids=["manifest_without_units", "truncated_manifest", "unit_without_cl_q", "nan_in_w", "inf_limit"],
+        ids=[
+            "manifest_without_units",
+            "truncated_manifest",
+            "unit_without_cl_q",
+            "nan_in_w",
+            "inf_limit",
+            "cva_27_rows",
+            "vr_14_columns",
+            "14_singular_values",
+        ],
     )
     def test_monitor_rejects_corrupt_artifact(self, one_record, tmp_path, capsys, name, corrupt):
         monitors_dir, stream_path = one_record
@@ -538,9 +551,32 @@ class TestCli:
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: seed must be >= 0, got -5\n"
 
+    @pytest.mark.parametrize("command", ["detect", "train"])
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            ({"batch_size": 0}, "epochs must be >= 0 and batch size >= 1"),
+            ({"optimizer": "adam"}, "unknown optimizer 'adam'; only 'rmsprop' is supported"),
+        ],
+        ids=["zero_batch", "adam"],
+    )
+    def test_bad_training_setting_exits_1_before_writing(
+        self, corpus, tmp_path, capsys, command, payload, message
+    ):
+        out_dir = tmp_path / "out"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(payload, data_dir=corpus[0], out_dir=str(out_dir))))
+        assert main([command, "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_dir.exists()
+
 
 def _without(payload: dict, key: str) -> dict:
     return {k: v for k, v in payload.items() if k != key}
+
+
+def _cut(matrix: list, rows: int, cols: int) -> list:
+    return [row[:cols] for row in matrix[:rows]]
 
 
 def _rewrite_header(path, edit):

@@ -172,6 +172,15 @@ class TestRecordValidation:
         json.dumps(events, allow_nan=False)
         assert sm.states == {}  # a rejected record leaves no device state behind
 
+    @pytest.mark.parametrize("sensors", [["521.3"], [True]], ids=["numeric-text", "bool"])
+    def test_sensor_entries_must_be_json_numbers(self, sensors):
+        sm = StreamMonitor({1: scalar_monitor()}, kept_indices=[1])
+        events = sm.process_line(json.dumps({"unit": 1, "cycle": 1, "sensors": sensors}))
+        assert events == [
+            {"type": "rejected", "reason": "sensors must be numbers", "unit": 1, "cycle": 1}
+        ]
+        assert sm.states == {}
+
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_reading_beyond_regressor_range(self, dtype):
         # 1e50 standardized is finite in float64 but overflows a float32 model
