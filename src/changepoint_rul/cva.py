@@ -152,40 +152,20 @@ class CvaModel:
     j: np.ndarray
     j_res: np.ndarray
 
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "r": self.r,
-            "w": self.w.tolist(),
-            "vr": self.vr.tolist(),
-            "singular_values": self.singular_values.tolist(),
-            "standardizer": None
-            if self.standardizer is None
-            else {
-                "mean": self.standardizer.mean.tolist(),
-                "std": self.standardizer.std.tolist(),
-            },
-        }
-
     @classmethod
-    def from_dict(cls, payload: dict) -> "CvaModel":
-        std = payload.get("standardizer")
-        standardizer = (
-            None
-            if std is None
-            else Standardizer(mean=np.asarray(std["mean"]), std=np.asarray(std["std"]))
-        )
-        w = np.asarray(payload["w"], dtype=float)
-        vr = np.asarray(payload["vr"], dtype=float)
+    def from_transforms(cls, standardizer, p: int, w, vr, singular_values) -> "CvaModel":
+        """Model of the given transforms, with ``j`` and ``j_res`` derived from them;
+        ``vr`` is taken in one layout, as BLAS rounds differently by layout."""
+        vt = np.ascontiguousarray(vr.T)
         return cls(
             standardizer=standardizer,
-            p=int(payload["p"]),
-            r=int(payload["r"]),
+            p=p,
+            r=vt.shape[0],
             w=w,
-            vr=vr,
-            singular_values=np.asarray(payload["singular_values"], dtype=float),
-            j=vr.T @ w,
-            j_res=(np.eye(w.shape[0]) - vr @ vr.T) @ w,
+            vr=vt.T,
+            singular_values=singular_values,
+            j=vt @ w,
+            j_res=(np.eye(w.shape[0]) - vt.T @ vt) @ w,
         )
 
 
@@ -212,17 +192,7 @@ def fit_cva(lagged: LaggedMatrices, r: int, standardizer: Standardizer | None = 
     _, singular_values, vt = np.linalg.svd(w_f @ s_fp @ w, full_matrices=False)
     if r > vt.shape[0]:
         raise ConfigError(f"r={r} exceeds the {vt.shape[0]} available singular directions")
-    vr = vt[:r].T
-    return CvaModel(
-        standardizer=standardizer,
-        p=lagged.p,
-        r=r,
-        w=w,
-        vr=vr,
-        singular_values=singular_values,
-        j=vr.T @ w,
-        j_res=(np.eye(mp) - vr @ vr.T) @ w,
-    )
+    return CvaModel.from_transforms(standardizer, lagged.p, w, vt[:r].T, singular_values)
 
 
 def project(model: CvaModel, xp_new: np.ndarray):

@@ -10,16 +10,21 @@ through end of life.
 
 from __future__ import annotations
 
+import json
+import os
 import warnings
+import zipfile
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ndtr
 
-from .cmapss import EngineSeries
+from .cmapss import EngineSeries, check_kept_indices
 from .config import PipelineConfig
 from .cva import (
+    STD_FLOOR,
     CvaModel,
+    Standardizer,
     apply_standardizer,
     build_lagged_matrices,
     build_past_matrix,
@@ -27,7 +32,7 @@ from .cva import (
     fit_standardizer,
     project,
 )
-from .errors import ConfigError, InsufficientDataError
+from .errors import ConfigError, InsufficientDataError, IntegrityError
 
 KDE_MIN_SAMPLES = 30
 # Relative width at which the control-limit bisection stops.
@@ -144,28 +149,121 @@ class MonitorModel:
     normal_window: int = 60
     validation_window: int = 20
 
-    def to_dict(self) -> dict:
-        return {
-            "cva": self.cva.to_dict(),
-            "alpha": self.alpha,
-            "cl_t2": self.cl_t2,
-            "cl_q": self.cl_q,
-            "persistence": self.persistence,
-            "normal_window": self.normal_window,
-            "validation_window": self.validation_window,
-        }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "MonitorModel":
-        return cls(
-            cva=CvaModel.from_dict(payload["cva"]),
-            alpha=float(payload["alpha"]),
-            cl_t2=float(payload["cl_t2"]),
-            cl_q=float(payload["cl_q"]),
-            persistence=int(payload["persistence"]),
-            normal_window=int(payload["normal_window"]),
-            validation_window=int(payload["validation_window"]),
+MONITOR_STORE = "monitors.npz"
+FLEET_SETTINGS = ("p", "r", "alpha", "normal_window", "validation_window")
+
+
+def _store_layout(n_units: int, m: int, p: int, r: int) -> dict:
+    """Name -> shape of each array in a monitor store, all float64 but
+    ``persistence`` (int64); row i of every array is the manifest's i-th unit."""
+    mp = m * p
+    return {
+        "w": (n_units, mp, mp),
+        "vr": (n_units, mp, r),
+        "singular_values": (n_units, mp),
+        "mean": (n_units, m),
+        "std": (n_units, m),
+        "cl_t2": (n_units,),
+        "cl_q": (n_units,),
+        "persistence": (n_units,),
+    }
+
+
+def _store_dtype(name: str):
+    return np.int64 if name == "persistence" else np.float64
+
+
+def save_monitors(monitors_dir, config: PipelineConfig, kept_indices, monitors: dict) -> None:
+    """Write a fleet's monitors, keyed by unit, as ``manifest.json`` (dataset,
+    sensors, units and fleet-wide settings) plus one uncompressed, byte-stable
+    array store."""
+    os.makedirs(monitors_dir, exist_ok=True)
+    manifest = {"dataset": config.dataset_id, "kept_indices": list(kept_indices), "units": list(monitors)}
+    manifest.update((key, getattr(config, key)) for key in FLEET_SETTINGS)
+    with open(os.path.join(monitors_dir, "manifest.json"), "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+    rows = [
+        {"w": mo.cva.w, "vr": mo.cva.vr, "singular_values": mo.cva.singular_values,
+         "mean": mo.cva.standardizer.mean, "std": mo.cva.standardizer.std,
+         "cl_t2": mo.cl_t2, "cl_q": mo.cl_q, "persistence": mo.persistence}
+        for mo in monitors.values()
+    ]
+    layout = _store_layout(len(rows), len(kept_indices), config.p, config.r)
+    arrays = {  # np.array(...).reshape, as np.stack([]) raises for a fleet without monitors
+        name: np.array([row[name] for row in rows], _store_dtype(name)).reshape(shape)
+        for name, shape in layout.items()
+    }
+    np.savez(os.path.join(monitors_dir, MONITOR_STORE), **arrays)
+
+
+def load_monitors(monitors_dir):
+    """Load the monitors written by save_monitors: (monitors by unit, manifest).
+
+    Every check runs before any monitor is built, and each failure is an
+    IntegrityError naming the file at fault.
+    """
+    store = os.path.join(monitors_dir, MONITOR_STORE)
+    if not os.path.exists(store):
+        raise IntegrityError(f"{store} is missing; run detect to write the monitor store")
+    manifest_path = os.path.join(monitors_dir, "manifest.json")
+    try:
+        with open(manifest_path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise IntegrityError(f"{manifest_path} is not a readable JSON file: {exc}") from None
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("units"), list):
+        raise IntegrityError(f"{manifest_path} holds no list of units")
+    kept = check_kept_indices(manifest.get("kept_indices"), "monitor manifest")
+    units = manifest["units"]
+    for i, unit in enumerate(units):
+        if type(unit) is not int:
+            raise IntegrityError(f"monitor manifest unit {unit!r} is not an int")
+        if unit in units[:i]:
+            raise IntegrityError(f"{manifest_path} lists unit {unit} twice")
+    try:  # the settings a config would accept; alpha is the only float
+        PipelineConfig.from_dict({key: manifest[key] for key in FLEET_SETTINGS})
+    except (KeyError, ConfigError) as exc:
+        raise IntegrityError(
+            f"{manifest_path} holds no valid fleet settings: {type(exc).__name__}: {exc}"
+        ) from None
+    p, r = manifest["p"], manifest["r"]
+    layout = _store_layout(len(units), len(kept), p, r)
+    try:
+        with np.load(store, allow_pickle=False) as payload:  # a .npy file gives TypeError
+            arrays = {name: payload[name] for name in layout}
+    except (OSError, EOFError, ValueError, KeyError, TypeError, AttributeError, zipfile.BadZipFile) as exc:
+        raise IntegrityError(f"{store} is not a monitor store: {type(exc).__name__}: {exc}") from None
+    for name, shape in layout.items():
+        array, dtype = arrays[name], np.dtype(_store_dtype(name))
+        if array.shape != shape or array.dtype != dtype:
+            raise IntegrityError(
+                f"{store} holds {name} as {array.dtype} {array.shape}, not {dtype} {shape}: "
+                f"{len(units)} units, the manifest's {len(kept)} sensors, p={p}, r={r}"
+            )
+        if not np.isfinite(array).all():
+            raise IntegrityError(f"{store} holds a non-finite {name} entry")
+    if not (arrays["std"] >= STD_FLOOR).all():
+        raise IntegrityError(f"{store} holds a sensor scale below {STD_FLOOR:g}")
+    cl_t2, cl_q, persistence = (arrays[name].tolist() for name in ("cl_t2", "cl_q", "persistence"))
+    settings = {key: manifest[key] for key in ("alpha", "normal_window", "validation_window")}
+    monitors = {
+        unit: MonitorModel(
+            cva=CvaModel.from_transforms(
+                Standardizer(mean=arrays["mean"][i], std=arrays["std"][i]),
+                p,
+                arrays["w"][i],
+                arrays["vr"][i],
+                arrays["singular_values"][i],
+            ),
+            cl_t2=cl_t2[i],
+            cl_q=cl_q[i],
+            persistence=persistence[i],
+            **settings,
         )
+        for i, unit in enumerate(units)
+    }
+    return monitors, manifest
 
 
 REPORT_COLUMNS = (
@@ -382,17 +480,4 @@ def fit_device_monitor(series: EngineSeries, config: PipelineConfig) -> DeviceOu
         cl_q=cl_q,
         flagged=flagged,
         monitor=monitor,
-    )
-
-
-def validation_report(
-    monitor: MonitorModel, series: EngineSeries, config: PipelineConfig
-) -> ValidationReport:
-    """Validation-window report for a fitted monitor, recomputed from the series."""
-    stats = statistic_trace(monitor, series.sensors)
-    val = stats.slice_cycles(
-        config.normal_window + 1, config.normal_window + config.validation_window
-    )
-    return validate_normal_window(
-        monitor, val, breach_threshold=config.breach_fraction_threshold, unit_id=series.unit_id
     )

@@ -30,7 +30,13 @@ from .labeling import (
 )
 from .lstm import load_checkpoint, predict_batch, save_checkpoint, train
 from .metrics import EvalReport, evaluate_predictions, format_metrics_row
-from .monitoring import REPORT_COLUMNS, DeviceOutcome, fit_device_monitor, statistic_trace
+from .monitoring import (
+    REPORT_COLUMNS,
+    DeviceOutcome,
+    fit_device_monitor,
+    save_monitors,
+    statistic_trace,
+)
 
 log = logging.getLogger(__name__)
 
@@ -96,7 +102,7 @@ def run_detect(config: PipelineConfig, engines=None, write: bool = True):
     """Per-engine change-point detection over the train set.
 
     Returns (outcomes sorted by unit, summary dict). With write=True, emits
-    change_points.{json,csv}, per-unit monitor artifacts, and optionally
+    change_points.{json,csv}, the fleet's monitor store, and optionally
     statistic traces under config.out_dir.
     """
     config.validate()
@@ -122,21 +128,9 @@ def run_detect(config: PipelineConfig, engines=None, write: bool = True):
             writer.writeheader()
             for record in records:
                 writer.writerow({k: ("" if record[k] is None else record[k]) for k in REPORT_COLUMNS})
+        fitted = {o.unit_id: o.monitor for o in outcomes if o.monitor is not None}
         monitors_dir = os.path.join(config.out_dir, "monitors")
-        os.makedirs(monitors_dir, exist_ok=True)
-        manifest = {
-            "dataset": config.dataset_id,
-            "kept_indices": list(selection.kept_indices),
-            "units": [o.unit_id for o in outcomes if o.monitor is not None],
-        }
-        with open(os.path.join(monitors_dir, "manifest.json"), "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-        for outcome in outcomes:
-            if outcome.monitor is None:
-                continue
-            path = os.path.join(monitors_dir, f"unit_{outcome.unit_id:04d}.json")
-            with open(path, "w") as fh:  # dumps takes the C encoder, dump never does
-                fh.write(json.dumps(outcome.monitor.to_dict(), sort_keys=True))
+        save_monitors(monitors_dir, config, selection.kept_indices, fitted)
         if config.export_traces:
             _write_traces(config, outcomes, selected)
 

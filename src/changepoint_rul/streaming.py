@@ -12,17 +12,16 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cmapss import N_SENSORS, check_kept_indices
+from .cmapss import N_SENSORS
 from .cva import Standardizer, apply_standardizer, project
 from .errors import IntegrityError
 from .labeling import trailing_window
 from .lstm import LstmRegressor, predict
-from .monitoring import MonitorModel
+from .monitoring import MonitorModel, load_monitors
 from .pipeline import read_checkpoint
 
 STATUS_NORMAL = "normal"
@@ -139,7 +138,6 @@ class StreamMonitor:
         std = monitor.cva.standardizer
         standardized = (sensors - std.mean) / std.std
 
-        events = []
         t2 = q = None
         p = monitor.cva.p
         if len(state.recent) >= p:
@@ -148,6 +146,18 @@ class StreamMonitor:
             z, e = project(monitor.cva, column)
             t2 = float(np.sum(z * z))
             q = float(np.sum(e * e))
+        state.recent.append(standardized)
+        if len(state.recent) > p:
+            state.recent.pop(0)
+        state.window.append(sensors)
+        if len(state.window) > self.max_window:
+            state.window.pop(0)
+
+        events = []
+        if t2 is not None:
+            if not (math.isfinite(t2) and math.isfinite(q)):  # a finite but huge monitor
+                reason = f"statistics overflow under the monitor of unit {state.unit_id}"
+                return [self._reject(reason, {"unit": state.unit_id, "cycle": cycle})]
             state.run_t2 = state.run_t2 + 1 if t2 >= monitor.cl_t2 else 0
             state.run_q = state.run_q + 1 if q >= monitor.cl_q else 0
             longest = max(state.run_t2, state.run_q)
@@ -165,12 +175,6 @@ class StreamMonitor:
                         "statistic": "t2" if state.run_t2 >= state.run_q else "q",
                     }
                 )
-        state.recent.append(standardized)
-        if len(state.recent) > p:
-            state.recent.pop(0)
-        state.window.append(sensors)
-        if len(state.window) > self.max_window:
-            state.window.pop(0)
 
         status_event = {
             "type": "status",
@@ -196,60 +200,6 @@ def _is_int(value) -> bool:
 def _is_reading(value) -> bool:
     """True for a JSON number; text and bools are not sensor readings."""
     return isinstance(value, float) or _is_int(value)
-
-
-def _finite_float(text: str) -> float:
-    """A JSON number or constant (NaN, Infinity), refused unless finite."""
-    value = float(text)
-    if not math.isfinite(value):  # also 1e999, which parses to inf
-        raise ValueError(f"non-finite number {text}")
-    return value
-
-
-def _read_artifact(path):
-    """A JSON artifact with finite numbers only; strict JSON has no NaN or inf,
-    so a monitor holding one could not be streamed."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
-        except (ValueError, RecursionError) as exc:
-            raise IntegrityError(f"{path} is not valid JSON: {exc}") from None
-
-
-def load_monitors(monitors_dir):
-    """Load the per-unit monitor artifacts written by the detect command."""
-    manifest_path = os.path.join(monitors_dir, "manifest.json")
-    if not os.path.exists(manifest_path):
-        raise IntegrityError(f"no monitor manifest at {manifest_path}")
-    manifest = _read_artifact(manifest_path)
-    if not isinstance(manifest, dict) or not isinstance(manifest.get("units"), list):
-        raise IntegrityError(f"{manifest_path} holds no list of units")
-    kept = check_kept_indices(manifest.get("kept_indices"), "monitor manifest")
-    monitors = {}
-    for unit in manifest["units"]:
-        if not _is_int(unit):
-            raise IntegrityError(f"monitor manifest unit {unit!r} is not an int")
-        path = os.path.join(monitors_dir, f"unit_{unit:04d}.json")
-        payload = _read_artifact(path)
-        try:
-            monitors[unit] = MonitorModel.from_dict(payload)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise IntegrityError(f"{path} is not a monitor: {type(exc).__name__}: {exc}") from None
-        cva = monitors[unit].cva
-        if cva.standardizer is None or len(cva.standardizer.mean) != len(kept):
-            raise IntegrityError(f"{path} does not monitor the manifest's {len(kept)} sensors")
-        mp = len(kept) * cva.p
-        if (
-            cva.p < 1
-            or cva.w.shape != (mp, mp)
-            or cva.vr.shape != (mp, cva.r)
-            or cva.singular_values.size < cva.r
-        ):
-            raise IntegrityError(
-                f"{path} holds no CVA model of {len(kept)} sensors at p={cva.p}, r={cva.r}: "
-                f"w {cva.w.shape}, vr {cva.vr.shape}, {cva.singular_values.size} singular values"
-            )
-    return monitors, manifest
 
 
 def run_monitor(

@@ -1,10 +1,7 @@
-import json
-
 import numpy as np
 import pytest
 
 from changepoint_rul.cva import (
-    CvaModel,
     LaggedMatrices,
     apply_standardizer,
     build_lagged_matrices,
@@ -175,15 +172,3 @@ class TestModelProperties:
         model, _, _ = standardized_lagged(seed=18)
         gram = model.vr.T @ model.vr
         assert np.max(np.abs(gram - np.eye(model.r))) < 1e-8
-
-    def test_serialization_round_trip(self):
-        model, lagged, _ = standardized_lagged(seed=19)
-        loaded = CvaModel.from_dict(json.loads(json.dumps(model.to_dict())))
-        np.testing.assert_allclose(loaded.w, model.w)
-        np.testing.assert_allclose(loaded.vr, model.vr)
-        np.testing.assert_allclose(loaded.j, model.j)
-        np.testing.assert_allclose(loaded.j_res, model.j_res)
-        z1, e1 = project(model, lagged.xp[:, :5])
-        z2, e2 = project(loaded, lagged.xp[:, :5])
-        np.testing.assert_allclose(z1, z2)
-        np.testing.assert_allclose(e1, e2)

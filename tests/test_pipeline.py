@@ -77,9 +77,38 @@ class TestDetect:
             "dataset,unit,k_max,k_t2_cp,k_q_cp,k_cp,method,lambda,cl_t2,cl_q,flagged"
         )
         assert len(csv_lines) == 13
-        monitors = os.listdir(os.path.join(cfg.out_dir, "monitors"))
-        fitted = [o for o in outcomes if o.monitor is not None]
-        assert len([m for m in monitors if m.startswith("unit_")]) == len(fitted)
+        monitors_dir = os.path.join(cfg.out_dir, "monitors")
+        assert sorted(os.listdir(monitors_dir)) == ["manifest.json", "monitors.npz"]
+        manifest = json.load(open(os.path.join(monitors_dir, "manifest.json")))
+        assert manifest["units"] == [o.unit_id for o in outcomes if o.monitor is not None]
+
+    def test_monitor_store_round_trip(self, detect_run):
+        """Every loaded monitor equals the fitted one, bit for bit and dtype for dtype."""
+        from changepoint_rul.streaming import load_monitors
+
+        cfg, outcomes, _, _ = detect_run
+        monitors, manifest = load_monitors(os.path.join(cfg.out_dir, "monitors"))
+        fitted = {o.unit_id: o.monitor for o in outcomes if o.monitor is not None}
+        assert list(monitors) == list(fitted) == manifest["units"]
+        for unit, monitor in fitted.items():
+            loaded = monitors[unit]
+            pairs = [(getattr(loaded.cva, n), getattr(monitor.cva, n)) for n in ("w", "vr", "singular_values", "j", "j_res")]
+            pairs += [(getattr(loaded.cva.standardizer, n), getattr(monitor.cva.standardizer, n)) for n in ("mean", "std")]
+            for got, want in pairs:
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            for name in ("alpha", "cl_t2", "cl_q", "persistence", "normal_window", "validation_window"):
+                got, want = getattr(loaded, name), getattr(monitor, name)
+                assert type(got) is type(want) and got == want
+            assert (loaded.cva.p, loaded.cva.r) == (monitor.cva.p, monitor.cva.r)
+
+    def test_fleet_without_monitors_loads_as_none(self, corpus, tmp_path):
+        from changepoint_rul.streaming import load_monitors
+
+        cfg = default_config("FD001", data_dir=corpus[0], out_dir=str(tmp_path), min_lifespan=1000)
+        _, summary = run_detect(cfg)
+        assert summary["n_detected"] == 0
+        monitors, manifest = load_monitors(str(tmp_path / "monitors"))
+        assert monitors == {} and manifest["units"] == []
 
     def test_flagged_persisted_and_read_back(self, detect_run):
         cfg, outcomes, _, _ = detect_run
@@ -117,6 +146,8 @@ class TestDetect:
                 (
                     (out / "change_points.json").read_bytes(),
                     (out / "change_points.csv").read_bytes(),
+                    (out / "monitors" / "manifest.json").read_bytes(),
+                    (out / "monitors" / "monitors.npz").read_bytes(),
                 )
             )
         assert outputs[0] == outputs[1]
@@ -457,18 +488,23 @@ class TestCli:
     @pytest.mark.parametrize(
         "patch,match",
         [
-            ({"kept_indices": [30] * 14}, "sensor index 30 "),
-            ({"kept_indices": list(range(1, 14))}, "manifest's 13 sensors"),
-            ({"units": ["1"]}, "unit '1' is not an int"),
+            (lambda m: dict(m, kept_indices=[30] * 14), "sensor index 30 "),
+            (lambda m: dict(m, kept_indices=list(range(1, 14))), "manifest's 13 sensors"),
+            (lambda m: dict(m, units=["1"]), "unit '1' is not an int"),
+            # as many units as store rows, one of them twice
+            (lambda m: dict(m, units=m["units"][:1] + m["units"][:-1]), "lists unit 1 twice"),
+            (lambda m: _without(m, "r"), "holds no valid fleet settings: KeyError: 'r'"),
+            (lambda m: dict(m, alpha=float("nan")), "config key 'alpha' must be float, got nan"),
         ],
-        ids=["index_above_21", "thirteen_sensors", "text_unit"],
+        ids=["index_above_21", "thirteen_sensors", "text_unit", "unit_twice", "without_r", "nan_alpha"],
     )
     def test_monitor_rejects_bad_manifest(self, one_record, tmp_path, capsys, patch, match):
         monitors_dir, stream_path = one_record
         copy = tmp_path / "monitors"
         shutil.copytree(monitors_dir, copy)
         manifest = json.loads((copy / "manifest.json").read_text())
-        (copy / "manifest.json").write_text(json.dumps(dict(manifest, **patch)))
+        assert manifest["units"][0] == 1
+        (copy / "manifest.json").write_text(json.dumps(patch(manifest)))
         assert main(["monitor", "--monitors", str(copy), "--input", stream_path]) == 2
         out, err = capsys.readouterr()
         assert out == "" and match in err
@@ -476,36 +512,42 @@ class TestCli:
     @pytest.mark.parametrize(
         "name,corrupt",
         [
-            ("manifest.json", lambda p: _without(p, "units")),
-            ("manifest.json", lambda p: json.dumps(p)[:40]),
-            ("unit", lambda p: _without(p, "cl_q")),
-            ("unit", lambda p: dict(p, cva=dict(p["cva"], w=np.full_like(p["cva"]["w"], np.nan).tolist()))),
-            ("unit", lambda p: json.dumps(p).replace(f'"cl_q": {p["cl_q"]}', '"cl_q": 1e999')),
+            ("manifest.json", lambda path: _edit_json(path, lambda m: _without(m, "units"))),
+            ("manifest.json", lambda path: path.write_text(path.read_text()[:40])),
+            ("monitors.npz", lambda path: path.write_bytes(path.read_bytes()[:1000])),
+            ("monitors.npz", lambda path: _edit_store(path, lambda a: a.pop("cl_q"))),
+            ("monitors.npz", lambda path: _edit_store(path, lambda a: a["w"].fill(np.nan))),
+            ("monitors.npz", lambda path: _edit_store(path, lambda a: a["cl_q"].fill(np.inf))),
             # FD001 has 14 sensors, so p=2 past vectors have 28 rows
-            ("unit", lambda p: dict(p, cva=dict(p["cva"], w=_cut(p["cva"]["w"], 27, 27), vr=_cut(p["cva"]["vr"], 27, 15)))),
-            ("unit", lambda p: dict(p, cva=dict(p["cva"], vr=_cut(p["cva"]["vr"], 28, 14)))),
-            ("unit", lambda p: dict(p, cva=dict(p["cva"], singular_values=p["cva"]["singular_values"][:14]))),
+            ("monitors.npz", lambda path: _edit_store(path, lambda a: a.update(w=a["w"][:, :27]))),
+            ("monitors.npz", lambda path: _edit_store(path, lambda a: a.update(vr=a["vr"][:, :, :14]))),
+            ("monitors.npz", lambda path: _edit_store(path, lambda a: a.update(singular_values=a["singular_values"][:, :14]))),
+            ("monitors.npz", lambda path: _edit_store(path, lambda a: a["std"].__setitem__((0, 0), 0.0))),
+            ("monitors.npz", lambda path: _edit_store(path, lambda a: a.update((k, v[:-1]) for k, v in a.items()))),
+            ("monitors.npz", lambda path: _edit_store(path, lambda a: a.update(w=a["w"].astype(object)))),
+            ("monitors.npz", lambda path: _to_unit_files(path)),
         ],
         ids=[
             "manifest_without_units",
             "truncated_manifest",
-            "unit_without_cl_q",
+            "truncated_store",
+            "store_without_cl_q",
             "nan_in_w",
             "inf_limit",
             "cva_27_rows",
             "vr_14_columns",
             "14_singular_values",
+            "zero_std",
+            "one_unit_fewer",
+            "pickled_object_array",
+            "only_unit_files",
         ],
     )
     def test_monitor_rejects_corrupt_artifact(self, one_record, tmp_path, capsys, name, corrupt):
         monitors_dir, stream_path = one_record
         copy = tmp_path / "monitors"
         shutil.copytree(monitors_dir, copy)
-        if name == "unit":
-            unit = json.loads((copy / "manifest.json").read_text())["units"][0]
-            name = f"unit_{unit:04d}.json"
-        payload = corrupt(json.loads((copy / name).read_text()))
-        (copy / name).write_text(payload if isinstance(payload, str) else json.dumps(payload))
+        corrupt(copy / name)
         assert main(["monitor", "--monitors", str(copy), "--input", stream_path]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"error: {copy / name} ")
@@ -575,8 +617,23 @@ def _without(payload: dict, key: str) -> dict:
     return {k: v for k, v in payload.items() if k != key}
 
 
-def _cut(matrix: list, rows: int, cols: int) -> list:
-    return [row[:cols] for row in matrix[:rows]]
+def _edit_json(path, edit):
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+
+
+def _edit_store(path, edit):
+    """Re-save a monitor store after ``edit`` changed its arrays by name in place."""
+    with np.load(path) as payload:
+        arrays = {name: payload[name] for name in payload.files}
+    edit(arrays)
+    np.savez(path, **arrays)
+
+
+def _to_unit_files(store):
+    """Leave a monitors directory in the per-unit JSON format of older versions."""
+    for path in store.parent.iterdir():
+        path.unlink()
+    (store.parent / "unit_0001.json").write_text(json.dumps({"cl_t2": 1.0, "cl_q": 1.0}))
 
 
 def _rewrite_header(path, edit):

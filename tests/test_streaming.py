@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -207,6 +208,27 @@ class TestRecordValidation:
             assert [e["type"] for e in events] == ["rejected"]
             assert "float32 range" in events[0]["reason"]
             assert sm.states[1].last_cycle == 2
+
+
+    def test_overflowing_statistics_rejected(self):
+        """A finite but huge whitening transform sends t2 to inf; that record
+        gets a rejected event, later cycles still stream, and every event
+        stays strict JSON."""
+        cva = CvaModel.from_transforms(
+            Standardizer(mean=np.zeros(1), std=np.ones(1)), 1, np.full((1, 1), 1e200), np.eye(1), np.ones(1)
+        )
+        monitor = replace(scalar_monitor(), cva=cva)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            events = stream_values(monitor, [0.0, 1.0, 0.0, 0.0])
+        assert [e["type"] for e in events] == ["status", "status", "rejected", "status"]
+        assert events[2] == {
+            "type": "rejected",
+            "reason": "statistics overflow under the monitor of unit 1",
+            "unit": 1,
+            "cycle": 3,
+        }
+        for event in events:
+            json.dumps(event, allow_nan=False)
 
 
 class TestInjectedShift:
