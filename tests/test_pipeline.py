@@ -92,11 +92,18 @@ class TestDetect:
         assert list(monitors) == list(fitted) == manifest["units"]
         for unit, monitor in fitted.items():
             loaded = monitors[unit]
-            pairs = [(getattr(loaded.cva, n), getattr(monitor.cva, n)) for n in ("w", "vr", "singular_values", "j", "j_res")]
-            pairs += [(getattr(loaded.cva.standardizer, n), getattr(monitor.cva.standardizer, n)) for n in ("mean", "std")]
-            for got, want in pairs:
+            got, want = loaded.cva, monitor.cva
+            arrays = [
+                (getattr(got, name), getattr(want, name))
+                for name in ("w", "vr", "singular_values", "j", "j_res")
+            ] + [
+                (getattr(got.standardizer, name), getattr(want.standardizer, name))
+                for name in ("mean", "std")
+            ]
+            for got, want in arrays:
                 assert got.dtype == want.dtype and np.array_equal(got, want)
-            for name in ("alpha", "cl_t2", "cl_q", "persistence", "normal_window", "validation_window"):
+            scalars = ("alpha", "cl_t2", "cl_q", "persistence", "normal_window", "validation_window")
+            for name in scalars:
                 got, want = getattr(loaded, name), getattr(monitor, name)
                 assert type(got) is type(want) and got == want
             assert (loaded.cva.p, loaded.cva.r) == (monitor.cva.p, monitor.cva.r)
@@ -512,7 +519,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "name,corrupt",
         [
-            ("manifest.json", lambda path: _edit_json(path, lambda m: _without(m, "units"))),
+            ("manifest.json", lambda path: path.write_text(json.dumps(_without(json.loads(path.read_text()), "units")))),
             ("manifest.json", lambda path: path.write_text(path.read_text()[:40])),
             ("monitors.npz", lambda path: path.write_bytes(path.read_bytes()[:1000])),
             ("monitors.npz", lambda path: _edit_store(path, lambda a: a.pop("cl_q"))),
@@ -615,10 +622,6 @@ class TestCli:
 
 def _without(payload: dict, key: str) -> dict:
     return {k: v for k, v in payload.items() if k != key}
-
-
-def _edit_json(path, edit):
-    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
 
 
 def _edit_store(path, edit):
