@@ -1,7 +1,10 @@
+import io
+
 import numpy as np
 import pytest
 
 from changepoint_rul.cva import (
+    CvaModel,
     LaggedMatrices,
     apply_standardizer,
     build_lagged_matrices,
@@ -172,3 +175,21 @@ class TestModelProperties:
         model, _, _ = standardized_lagged(seed=18)
         gram = model.vr.T @ model.vr
         assert np.max(np.abs(gram - np.eye(model.r))) < 1e-8
+
+    def test_serialization_round_trip(self):
+        # the monitor store keeps only the transforms; j and j_res are derived on load
+        model, lagged, _ = standardized_lagged(seed=19)
+        buffer = io.BytesIO()
+        np.savez(buffer, w=model.w, vr=model.vr, singular_values=model.singular_values)
+        buffer.seek(0)
+        with np.load(buffer, allow_pickle=False) as stored:
+            loaded = CvaModel.from_transforms(
+                model.standardizer, model.p, stored["w"], stored["vr"], stored["singular_values"]
+            )
+        for name in ("w", "vr", "singular_values", "j", "j_res"):
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(model, name))
+        assert (loaded.p, loaded.r) == (model.p, model.r)
+        z1, e1 = project(model, lagged.xp[:, :5])
+        z2, e2 = project(loaded, lagged.xp[:, :5])
+        np.testing.assert_array_equal(z1, z2)
+        np.testing.assert_array_equal(e1, e2)

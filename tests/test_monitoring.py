@@ -278,6 +278,23 @@ class TestFitDeviceMonitor:
         pre = stats.slice_cycles(3, result.k_cp - 1)
         assert monitor.persistence == compute_lambda(pre, monitor.cl_t2, monitor.cl_q)
 
+    def test_monitor_serialization_round_trip(self, tmp_path):
+        from changepoint_rul.monitoring import load_monitors, save_monitors
+
+        series = make_engine_series(6, 260, 210, seed=8, n_channels=5)
+        cfg = PipelineConfig(r=5)
+        monitor = fit_device_monitor(series, cfg).monitor
+        save_monitors(str(tmp_path), cfg, range(1, 6), {6: monitor})
+        clones, manifest = load_monitors(str(tmp_path))
+        assert list(clones) == manifest["units"] == [6]
+        clone = clones[6]
+        assert clone.cl_t2 == monitor.cl_t2 and clone.cl_q == monitor.cl_q
+        assert clone.persistence == monitor.persistence
+        s1 = statistic_trace(monitor, series.sensors)
+        s2 = statistic_trace(clone, series.sensors)
+        np.testing.assert_array_equal(s1.t2, s2.t2)
+        np.testing.assert_array_equal(s1.q, s2.q)
+
     def test_detected_points_track_lifespan(self):
         # later change points for longer-lived devices, in rank correlation
         lifespans, points = [], []
