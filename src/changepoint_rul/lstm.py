@@ -16,13 +16,15 @@ norm and the RMSProp mean squares are kept in float64.
 
 Each layer stores its gates fused: ``wx`` (4h, d), ``wh`` (4h, h) and ``b``
 (4h,), row blocks in gate order (input, forget, output, candidate), so the
-three sigmoid gates form one contiguous slab. Activations are time-major,
-(L, B, ·): the input projection of every step is one GEMM ahead of the
-recurrence. Backward keeps only ``dz @ wh`` inside the time loop, writes each
-step's gate gradient over the cached gate activations, and forms the weight,
-bias and input gradients as single GEMMs after the loop (Appleyard et al.,
-arXiv:1604.01946). Checkpoints are version 2 and hold the fused arrays,
-each loaded back in its stored dtype (all float32 or all float64).
+three sigmoid gates form one contiguous slab. Activations are feature-major,
+gates (L, 4h, B) and cells and hidden states (L, h, B), so each gate block of
+a step is a contiguous row slab (Appleyard et al., arXiv:1604.01946). The input
+projection of every step comes ahead of the recurrence ``z += wh @ h[t-1]``.
+Backward keeps only ``wh.T @ dz`` in the time loop, writing each gate gradient
+over the cached activations; it then copies the gradients to (4h, L*B) and
+inputs and hidden states to (L*B, ·), so each weight gradient is one GEMM.
+Checkpoints are version 2 and hold the fused arrays, each loaded back in its
+stored dtype (all float32 or all float64).
 """
 
 from __future__ import annotations
@@ -177,12 +179,17 @@ def _sigmoid_(x):
     x *= 0.5
 
 
+def _time_major(a: np.ndarray) -> np.ndarray:
+    """(L, n, B) activations copied to an (L*B, n) matrix."""
+    return np.ascontiguousarray(a.transpose(0, 2, 1)).reshape(-1, a.shape[1])
+
+
 def _forward_batch(model: LstmRegressor, x: np.ndarray, training: bool, rng, keep_cache=True):
     """Run (B, L, d) windows through the stack; returns (yhat (B,), cache).
 
-    The cache holds one dict of time-major activations per layer for the
-    backward pass; with keep_cache=False it stays empty and each layer's
-    buffers are freed as soon as the next layer has read them.
+    The cache holds one dict of feature-major activations per layer for the
+    backward pass; with keep_cache=False it stays empty, one step's cell
+    buffers are reused, and each layer's are freed once the next has read it.
     """
     dtype = model.dtype
     x = _cast(x, dtype, "windows")
@@ -192,7 +199,7 @@ def _forward_batch(model: LstmRegressor, x: np.ndarray, training: bool, rng, kee
         )
     batch, steps, _ = x.shape
     cache = []
-    current = np.ascontiguousarray(x.transpose(1, 0, 2))
+    current = np.ascontiguousarray(x.transpose(1, 2, 0))
     for idx, layer in enumerate(model.layers):
         mask = None
         if idx > 0:
@@ -202,88 +209,81 @@ def _forward_batch(model: LstmRegressor, x: np.ndarray, training: bool, rng, kee
                     raise ConfigError("training-mode forward with dropout needs an rng")
                 keep = 1.0 - ratio
                 # drawn as (B, L, d), so the rng stream does not depend on the layout
-                mask = (rng.random((batch, steps, current.shape[2])) < keep).astype(dtype)
+                mask = rng.random((batch, steps, current.shape[1])) < keep
+                mask = mask.transpose(1, 2, 0).astype(dtype, order="C")
                 mask /= keep
-                mask = mask.transpose(1, 0, 2)
-                current = current * mask  # C-contiguous, time-major
+                current = current * mask
         h = layer.hidden_size
-        gates = (current.reshape(steps * batch, -1) @ layer.wx.T).reshape(steps, batch, 4 * h)
-        gates += layer.b
-        hidden = np.empty((steps, batch, h), dtype)
-        if keep_cache:
-            cells = np.empty((steps, batch, h), dtype)
-            cell_tanh = np.empty((steps, batch, h), dtype)
-        c = np.zeros((batch, h), dtype)
+        # a single window's input projection is one GEMM, not L matrix-vector products
+        gates = (current[:, :, 0] @ layer.wx.T)[:, :, None] if batch == 1 else layer.wx @ current
+        gates += layer.b[:, None]
+        hidden = np.empty((steps, h, batch), dtype)
+        kept_steps = steps if keep_cache else 1
+        cells = np.zeros((kept_steps, h, batch), dtype)  # cells[-1]: zero state until written
+        cell_tanh = np.empty_like(cells)
         for t in range(steps):
             z = gates[t]  # pre-activations in, gate activations out
             if t:
-                z += hidden[t - 1] @ layer.wh.T
-            _sigmoid_(z[:, : 3 * h])
-            np.tanh(z[:, 3 * h :], out=z[:, 3 * h :])
-            c = z[:, h : 2 * h] * c + z[:, :h] * z[:, 3 * h :]
-            tc = np.tanh(c)
-            np.multiply(z[:, 2 * h : 3 * h], tc, out=hidden[t])
-            if keep_cache:
-                cells[t], cell_tanh[t] = c, tc
+                z += layer.wh @ hidden[t - 1]
+            _sigmoid_(z[: 3 * h])
+            np.tanh(z[3 * h :], out=z[3 * h :])
+            c, tc = cells[t % kept_steps], cell_tanh[t % kept_steps]
+            np.multiply(z[:h], z[3 * h :], out=tc)
+            np.multiply(z[h : 2 * h], cells[(t - 1) % kept_steps], out=c)
+            c += tc
+            np.tanh(c, out=tc)
+            np.multiply(z[2 * h : 3 * h], tc, out=hidden[t])
         if not np.all(np.isfinite(hidden)):
             bad = np.argwhere(~np.isfinite(hidden).all(axis=(1, 2)))
             step = int(bad[0][0]) if len(bad) else -1
             raise NumericError(f"non-finite activation in layer {idx} at step {step}")
         if keep_cache:
             cache.append(
-                {
-                    "inputs": current,
-                    "mask": mask,
-                    "gates": gates,
-                    "c": cells,
-                    "tc": cell_tanh,
-                    "h": hidden,
-                }
+                dict(inputs=current, mask=mask, gates=gates, c=cells, tc=cell_tanh, h=hidden)
             )
         current = hidden
-    yhat = current[-1] @ model.head_w + model.head_b[0]
+    yhat = model.head_w @ current[-1] + model.head_b[0]
     return yhat, cache
 
 
 def _backward_batch(model: LstmRegressor, cache: list, dyhat: np.ndarray) -> dict:
     """Backpropagate d(loss)/d(yhat) through head and stacked recurrences.
 
-    Overwrites each layer's cached gate activations with their gradients.
+    Consumes the cache: each layer's gate activations are overwritten with
+    their gradients, and its entry is dropped once its gradients are formed.
     """
-    grads = {}
-    grads["head.w"] = cache[-1]["h"][-1].T @ dyhat
-    grads["head.b"] = np.array([dyhat.sum()])
-
+    grads = {"head.w": cache[-1]["h"][-1] @ dyhat, "head.b": np.array([dyhat.sum()])}
     d_hidden = None  # the top layer's only upstream gradient is the head's
-    dh_next = np.outer(dyhat, model.head_w)
+    dh_next = np.outer(model.head_w, dyhat)
     for idx in range(len(model.layers) - 1, -1, -1):
-        layer, layer_cache = model.layers[idx], cache[idx]
+        layer, layer_cache = model.layers[idx], cache.pop()
         gates, cells, cell_tanh, hidden = (layer_cache[k] for k in ("gates", "c", "tc", "h"))
-        steps, batch, h = hidden.shape
+        steps, h, batch = hidden.shape
         dc_next = 0.0
         for t in range(steps - 1, -1, -1):
             z = gates[t]  # gate activations in, d(loss)/d(pre-activation) out
-            gi, gf, go, gg = z[:, :h], z[:, h : 2 * h], z[:, 2 * h : 3 * h], z[:, 3 * h :]
+            gi, gf, go, gg = z[:h], z[h : 2 * h], z[2 * h : 3 * h], z[3 * h :]
             dh = dh_next if d_hidden is None else d_hidden[t] + dh_next
             tc = cell_tanh[t]
             dc = dc_next + dh * go * (1.0 - tc * tc)
             dc_next = dc * gf
             dz_g = dc * gi * (1.0 - gg * gg)
-            sig = z[:, : 3 * h]
+            sig = z[: 3 * h]
             sig *= 1.0 - sig  # sigmoid derivative of the (i, f, o) slab
             gi *= dc * gg
             gf *= dc * cells[t - 1] if t else 0.0
             go *= dh * tc
             gg[...] = dz_g
             if t:
-                dh_next = z @ layer.wh
-        d_z = gates.reshape(steps * batch, 4 * h)
-        grads[f"layer{idx}.wx"] = d_z.T @ layer_cache["inputs"].reshape(steps * batch, -1)
+                dh_next = layer.wh.T @ z
+        # one GEMM per weight gradient, summing over steps and windows at once
+        d_z = np.ascontiguousarray(gates.transpose(1, 0, 2)).reshape(4 * h, -1)
+        grads[f"layer{idx}.wx"] = d_z @ _time_major(layer_cache["inputs"])
         # step t's recurrent input is hidden[t - 1]; step 0 saw a zero state
-        grads[f"layer{idx}.wh"] = d_z[batch:].T @ hidden[:-1].reshape(-1, h)
-        grads[f"layer{idx}.b"] = d_z.sum(axis=0)
+        grads[f"layer{idx}.wh"] = d_z[:, batch:] @ _time_major(hidden[:-1])
+        grads[f"layer{idx}.b"] = d_z @ np.ones(d_z.shape[1], d_z.dtype)  # a GEMV beats .sum(1)
         if idx > 0:
-            d_hidden = (d_z @ layer.wx).reshape(steps, batch, -1)
+            d_hidden = layer.wx.T @ gates
             if layer_cache["mask"] is not None:
                 d_hidden *= layer_cache["mask"]
             dh_next = 0.0

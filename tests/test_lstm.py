@@ -177,6 +177,37 @@ class TestGradients:
                 denom = max(abs(fd), abs(grad[idx]), 1e-8)
                 assert abs(fd - grad[idx]) / denom < 1e-4, f"{name}[{idx}]"
 
+    def test_gradient_check_distinct_axis_sizes(self):
+        """Windows, steps, inputs and every hidden size differ, and three layers
+        put a dropout mask between each pair, so no swapped axis of the
+        activation layout passes by symmetry."""
+        rng = np.random.default_rng(40)
+        model = init_regressor(6, (4, 7, 2), (0.3, 0.2), seed=41)
+        windows = rng.normal(size=(3, 5, 6))
+        targets = rng.normal(size=3)
+        _, cache = _forward_batch(model, windows, True, np.random.default_rng(78))
+        for layer_cache in cache[1:]:  # both inter-layer masks drop some inputs and keep others
+            assert 0.0 < np.mean(layer_cache["mask"] == 0.0) < 1.0
+
+        def evaluate():
+            return loss_and_gradients(model, windows, targets, rng=np.random.default_rng(78))
+
+        _, grads = evaluate()
+        eps = 1e-5
+        for name, arr in iter_parameters(model):
+            flat = arr.ravel()
+            grad = grads[name].ravel()
+            for idx in range(flat.size):
+                orig = flat[idx]
+                flat[idx] = orig + eps
+                up, _ = evaluate()
+                flat[idx] = orig - eps
+                down, _ = evaluate()
+                flat[idx] = orig
+                fd = (up - down) / (2 * eps)
+                denom = max(abs(fd), abs(grad[idx]), 1e-8)
+                assert abs(fd - grad[idx]) / denom < 1e-4, f"{name}[{idx}]"
+
     def test_target_shift_moves_head_bias_gradient(self):
         model = init_regressor(2, (3,), (), seed=12)
         windows = np.random.default_rng(13).normal(size=(8, 4, 2))
@@ -419,6 +450,27 @@ class TestPredict:
         assert np.any(batch == 0.0) and np.any(batch == 4.0)
         assert np.any((batch > 0.0) & (batch < 4.0))
         np.testing.assert_allclose(batch, single, rtol=0.0, atol=1e-12)
+        # float32, three layers: predict forms a window's input projection as one
+        # (L, d) @ (d, 4h) product, predict_batch as one product per step; they
+        # agree to 1e-6 relative (at most 6.3e-8 measured over 20 seeds)
+        model = as_float32(init_regressor(3, (7, 5, 4), (0.2, 0.1), seed=22))
+        model.head_w *= 80.0
+        model.head_b[0] = 60.0
+        batch = predict_batch(model, windows, cap=1e6)
+        single = np.array([predict(model, w, cap=1e6) for w in windows])
+        assert batch.dtype == np.float32 and np.all(batch > 0.0)
+        np.testing.assert_allclose(batch, single, rtol=1e-6, atol=0.0)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("windows", [1, 3])
+    def test_non_finite_activation_names_layer_and_step(self, windows, dtype):
+        model = init_regressor(3, (5, 4), (0.2,), seed=24)
+        if dtype == np.float32:
+            model = as_float32(model)
+        batch = np.random.default_rng(25).normal(size=(windows, 8, 3))
+        batch[windows - 1, 6, 2] = np.nan  # step 6 of the last window
+        with pytest.raises(NumericError, match=r"^non-finite activation in layer 0 at step 6$"):
+            predict_batch(model, batch)
 
     @pytest.mark.parametrize("shape", [(6, 3), (2, 6, 4), (2, 6, 3, 1), (3,)])
     def test_batch_shape_errors(self, shape):
