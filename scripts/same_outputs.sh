@@ -7,10 +7,10 @@
 # Corpus: write_corpus(n_train=20, n_test=8, seed=11, short_every=5) from
 # tests/synthetic.py. Config: FD001 defaults with seed 1, an 8/4-unit LSTM,
 # L=30 and 3 epochs. Commands: detect --traces, train, evaluate,
-# sweep --candidates 100,200, and monitor over every train row with the
-# trained checkpoint. Every artifact and each command's stdout are compared
-# with diff -r; both sides use the same data_dir and a relative out_dir, so
-# history.json compares whole. stderr is kept beside each tree but not
+# sweep --candidates 100,200, and monitor over every train row, once with the
+# trained checkpoint and once without one. Every artifact and each command's
+# stdout are compared with diff -r; both sides use the same data_dir and a
+# relative out_dir, so history.json compares whole. stderr is kept beside each tree but not
 # compared, since a warning names the source line that raised it.
 #
 # Exits 0 when the trees are identical, 1 when they differ, 2 on a usage
@@ -80,6 +80,8 @@ for side in parent change; do
     run "$side" "$src" sweep sweep --candidates 100,200
     run "$side" "$src" monitor monitor --monitors out/monitors \
         --checkpoint out/checkpoint.npz --input "$work/records.jsonl"
+    run "$side" "$src" monitor_no_checkpoint monitor --monitors out/monitors \
+        --input "$work/records.jsonl"
 done
 
 if diff -r "$work/parent/tree" "$work/change/tree"; then

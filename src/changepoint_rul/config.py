@@ -27,6 +27,7 @@ DATASET_DEFAULTS = {
 
 
 def _is_int(value) -> bool:
+    """True for a JSON integer; bools are ints in Python but not here."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 

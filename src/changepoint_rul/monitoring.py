@@ -133,7 +133,8 @@ def kde_control_limit(samples, alpha: float) -> float:
 
 @dataclass(frozen=True)
 class MonitorModel:
-    """Per-device monitor: CVA transforms plus control limits and persistence.
+    """Per-device monitor, all the stream reads: CVA transforms, control limits
+    and persistence. Fleet-wide settings live in the store manifest.
 
     ``persistence`` is the longest consecutive-breach run length observed in
     the device's data before degradation (its normal operation plus any
@@ -142,12 +143,9 @@ class MonitorModel:
     """
 
     cva: CvaModel
-    alpha: float
     cl_t2: float
     cl_q: float
     persistence: int
-    normal_window: int = 60
-    validation_window: int = 20
 
 
 MONITOR_STORE = "monitors.npz"
@@ -246,7 +244,6 @@ def load_monitors(monitors_dir):
     if not (arrays["std"] >= STD_FLOOR).all():
         raise IntegrityError(f"{store} holds a sensor scale below {STD_FLOOR:g}")
     cl_t2, cl_q, persistence = (arrays[name].tolist() for name in ("cl_t2", "cl_q", "persistence"))
-    settings = {key: manifest[key] for key in ("alpha", "normal_window", "validation_window")}
     monitors = {
         unit: MonitorModel(
             cva=CvaModel.from_transforms(
@@ -259,7 +256,6 @@ def load_monitors(monitors_dir):
             cl_t2=cl_t2[i],
             cl_q=cl_q[i],
             persistence=persistence[i],
-            **settings,
         )
         for i, unit in enumerate(units)
     }
@@ -464,15 +460,7 @@ def fit_device_monitor(series: EngineSeries, config: PipelineConfig) -> DeviceOu
     pre_cp_end = (outcome.k_cp - 1) if outcome.k_cp is not None else k_max
     persistence = compute_lambda(all_stats.slice_cycles(config.p + 1, pre_cp_end), cl_t2, cl_q)
 
-    monitor = MonitorModel(
-        cva=cva_model,
-        alpha=config.alpha,
-        cl_t2=cl_t2,
-        cl_q=cl_q,
-        persistence=persistence,
-        normal_window=config.normal_window,
-        validation_window=config.validation_window,
-    )
+    monitor = MonitorModel(cva=cva_model, cl_t2=cl_t2, cl_q=cl_q, persistence=persistence)
     return replace(
         outcome,
         persistence=persistence,

@@ -29,7 +29,7 @@ from .labeling import (
     trailing_window,
 )
 from .lstm import load_checkpoint, predict_batch, save_checkpoint, train
-from .metrics import EvalReport, evaluate_predictions, format_metrics_row
+from .metrics import evaluate_predictions, format_metrics_row
 from .monitoring import (
     REPORT_COLUMNS,
     DeviceOutcome,
@@ -282,15 +282,6 @@ def run_evaluate(config: PipelineConfig, checkpoint_path=None, write: bool = Tru
         report.write_csv(os.path.join(config.out_dir, "evaluation.csv"))
     print(format_metrics_row(report))
     return report
-
-
-def constant_cap_report(config: PipelineConfig) -> EvalReport:
-    """Baseline: predict the fallback cap for every test engine."""
-    test_engines, targets = _load_split(config, "test")
-    predictions = {s.unit_id: float(config.fallback_cap) for s in test_engines}
-    return evaluate_predictions(
-        predictions, targets, cap=float(config.fallback_cap), dataset_id=config.dataset_id
-    )
 
 
 def run_sweep(config: PipelineConfig, candidates, write: bool = True):

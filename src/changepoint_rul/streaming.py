@@ -6,22 +6,27 @@ selected subset. Output is one JSON event per line: a per-cycle status
 record, a change-point event once a statistic has breached its control
 limit for strictly more consecutive cycles than the device's recorded
 persistence, and an RUL estimate per cycle after that.
+
+Cycle k's statistics are ``monitoring.statistic_trace`` over the device's
+rows k-p..k, the detector's own lag convention and formula.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cmapss import N_SENSORS
-from .cva import Standardizer, apply_standardizer, project
+from .config import _is_int
+from .cva import Standardizer, apply_standardizer
 from .errors import IntegrityError
 from .labeling import trailing_window
 from .lstm import LstmRegressor, predict
-from .monitoring import MonitorModel, load_monitors
+from .monitoring import MonitorModel, load_monitors, statistic_trace
 from .pipeline import read_checkpoint
 
 STATUS_NORMAL = "normal"
@@ -39,8 +44,7 @@ class DeviceStreamState:
 
     unit_id: int
     monitor: MonitorModel
-    recent: list = field(default_factory=list)  # standardized vectors, newest last
-    window: list = field(default_factory=list)  # raw selected rows for RUL windows
+    rows: deque  # last selected raw rows, oldest first: p + 1, or an RUL window if longer
     run_t2: int = 0
     run_q: int = 0
     status: str = STATUS_NORMAL
@@ -123,7 +127,9 @@ class StreamMonitor:
 
         state = self.states.get(unit)
         if state is None:
-            state = DeviceStreamState(unit_id=unit, monitor=self.monitors[unit])
+            monitor = self.monitors[unit]
+            rows = deque(maxlen=max(self.max_window, monitor.cva.p + 1))
+            state = DeviceStreamState(unit_id=unit, monitor=monitor, rows=rows)
             self.states[unit] = state
         if cycle <= state.last_cycle:
             return [self._reject(f"cycle {cycle} not after {state.last_cycle}", record)]
@@ -135,26 +141,14 @@ class StreamMonitor:
 
     def _step(self, state: DeviceStreamState, cycle: int, sensors: np.ndarray):
         monitor = state.monitor
-        std = monitor.cva.standardizer
-        standardized = (sensors - std.mean) / std.std
-
-        t2 = q = None
-        p = monitor.cva.p
-        if len(state.recent) >= p:
-            # Past vector stacks newest lag first, excluding the current cycle.
-            column = np.concatenate([state.recent[-lag] for lag in range(1, p + 1)])
-            z, e = project(monitor.cva, column)
-            t2 = float(np.sum(z * z))
-            q = float(np.sum(e * e))
-        state.recent.append(standardized)
-        if len(state.recent) > p:
-            state.recent.pop(0)
-        state.window.append(sensors)
-        if len(state.window) > self.max_window:
-            state.window.pop(0)
+        state.rows.append(sensors)
 
         events = []
-        if t2 is not None:
+        t2 = q = None
+        p = monitor.cva.p
+        if len(state.rows) > p:
+            stats = statistic_trace(monitor, list(state.rows)[-(p + 1) :])
+            t2, q = float(stats.t2[0]), float(stats.q[0])
             if not (math.isfinite(t2) and math.isfinite(q)):  # a finite but huge monitor
                 reason = f"statistics overflow under the monitor of unit {state.unit_id}"
                 return [self._reject(reason, {"unit": state.unit_id, "cycle": cycle})]
@@ -185,16 +179,11 @@ class StreamMonitor:
             "status": state.status,
         }
         if state.status == STATUS_DEGRADING and self.regressor is not None:
-            x = apply_standardizer(self.pooled, np.asarray(state.window).T).T
+            x = apply_standardizer(self.pooled, np.asarray(state.rows).T).T
             window = trailing_window(x, self.regressor.sequence_length)
             status_event["rul"] = predict(self.regressor, window, cap=self.rul_cap)
         events.insert(0, status_event)
         return events
-
-
-def _is_int(value) -> bool:
-    """True for a JSON integer; bools are ints in Python but not here."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_reading(value) -> bool:

@@ -32,10 +32,11 @@ from changepoint_rul.monitoring import (
     fit_device_monitor,
     kde_control_limit,
 )
-from changepoint_rul.pipeline import constant_cap_report, run_detect, run_evaluate, run_sweep, run_train
+from changepoint_rul.pipeline import run_detect, run_evaluate, run_sweep, run_train
 
 from synthetic import make_engine_series, write_corpus
 from test_monitoring import brute_force_longest_run, brute_force_suffix_start
+from test_pipeline import constant_cap_baseline
 
 
 def report(ok: bool, label: str) -> None:
@@ -245,7 +246,7 @@ def test_desk_scale_synthetic_pipeline(tmp_path):
     outcomes, summary = run_detect(cfg)
     run_train(cfg, outcomes=outcomes)
     model_report = run_evaluate(cfg)
-    baseline = constant_cap_report(cfg)
+    baseline = constant_cap_baseline(cfg)
     elapsed = time.monotonic() - started
     ok = (
         summary["n_detected"] >= 10
@@ -276,7 +277,7 @@ def test_desk_scale_fd001_subset(tmp_path):
     outcomes, _ = run_detect(cfg)
     run_train(cfg, outcomes=outcomes)
     model_report = run_evaluate(cfg)
-    baseline = constant_cap_report(cfg)
+    baseline = constant_cap_baseline(cfg)
     elapsed = time.monotonic() - started
     ok = elapsed < 600.0 and model_report.rmse < baseline.rmse
     report(

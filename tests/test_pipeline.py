@@ -2,7 +2,7 @@ import io
 import json
 import os
 import shutil
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from changepoint_rul.config import default_config
 from changepoint_rul.metrics import evaluate_predictions
 from changepoint_rul.pipeline import (
     _load_split,
-    constant_cap_report,
     run_detect,
     run_evaluate,
     run_sweep,
@@ -20,6 +19,15 @@ from changepoint_rul.pipeline import (
 )
 
 from synthetic import write_corpus
+
+
+def constant_cap_baseline(cfg):
+    """Baseline report: the fallback cap predicted for every test engine."""
+    test_engines, targets = _load_split(cfg, "test")
+    cap = float(cfg.fallback_cap)
+    predictions = {s.unit_id: cap for s in test_engines}
+    return evaluate_predictions(predictions, targets, cap=cap, dataset_id=cfg.dataset_id)
+
 
 SMALL_NET = dict(
     sequence_length=30,
@@ -102,11 +110,13 @@ class TestDetect:
             ]
             for got, want in arrays:
                 assert got.dtype == want.dtype and np.array_equal(got, want)
-            scalars = ("alpha", "cl_t2", "cl_q", "persistence", "normal_window", "validation_window")
-            for name in scalars:
+            assert [f.name for f in fields(loaded)] == ["cva", "cl_t2", "cl_q", "persistence"]
+            for name in ("cl_t2", "cl_q", "persistence"):
                 got, want = getattr(loaded, name), getattr(monitor, name)
                 assert type(got) is type(want) and got == want
             assert (loaded.cva.p, loaded.cva.r) == (monitor.cva.p, monitor.cva.r)
+        for key in ("alpha", "normal_window", "validation_window"):
+            assert type(manifest[key]) is type(getattr(cfg, key)) and manifest[key] == getattr(cfg, key)
 
     def test_fleet_without_monitors_loads_as_none(self, corpus, tmp_path):
         from changepoint_rul.streaming import load_monitors
@@ -207,7 +217,7 @@ class TestEvaluate:
         data_dir, _ = corpus
         cfg, _, _, _ = trained_run
         report = run_evaluate(cfg, write=False)
-        baseline = constant_cap_report(cfg)
+        baseline = constant_cap_baseline(cfg)
         assert report.rmse < baseline.rmse
 
     def test_oracle_injection_scores_zero(self, corpus, tmp_path):
@@ -223,7 +233,7 @@ class TestEvaluate:
     def test_model_and_baseline_score_the_same_subset(self, trained_run):
         cfg = replace(trained_run[0], subset=3)
         model_units = [row.unit_id for row in run_evaluate(cfg, write=False).per_engine]
-        baseline_units = [row.unit_id for row in constant_cap_report(cfg).per_engine]
+        baseline_units = [row.unit_id for row in constant_cap_baseline(cfg).per_engine]
         assert model_units == baseline_units == [1, 2, 3]
 
     def test_architecture_mismatch_rejected(self, corpus, trained_run, tmp_path):
@@ -648,9 +658,13 @@ def _rewrite_header(path, edit):
     np.savez(path, **arrays)
 
 
-def test_stream_reproduces_offline_statistic_trace(corpus, detect_run):
-    """Every raw row of a detected train engine streamed through the written
-    monitors gives the offline statistic trace's t2/q for each cycle."""
+def _assert_stream_matches_trace(data_dir, cfg, outcomes, checkpoint=None):
+    """Stream every raw row of a detected train engine through the written
+    monitors (and a checkpoint, if given). Cycles 1..p carry no statistics;
+    each later cycle k carries exactly the statistic trace of its own rows
+    k-p..k, and the whole-life trace to rounding (BLAS rounds a one-column
+    product differently from a many-column one). Returns the status events
+    and the engine's selected rows."""
     from changepoint_rul.cmapss import (
         apply_selection,
         parse_cmapss_file,
@@ -658,24 +672,56 @@ def test_stream_reproduces_offline_statistic_trace(corpus, detect_run):
         train_file,
     )
     from changepoint_rul.monitoring import statistic_trace
-    from changepoint_rul.streaming import StreamMonitor, load_monitors
+    from changepoint_rul.streaming import run_monitor
 
-    data_dir, _ = corpus
-    cfg, outcomes, _, _ = detect_run
     outcome = [o for o in outcomes if o.method == "detected"][0]
     series = parse_cmapss_file(open(train_file(data_dir, "FD001")).read())[outcome.unit_id - 1]
-    monitors, manifest = load_monitors(os.path.join(cfg.out_dir, "monitors"))
-    stream = StreamMonitor(monitors, manifest["kept_indices"])
-    status = []
-    for i, cycle in enumerate(series.cycles):
-        line = json.dumps(
-            {"unit": series.unit_id, "cycle": int(cycle), "sensors": series.sensors[i].tolist()}
-        )
-        status.append(stream.process_line(line)[0])
-    selected = apply_selection(series, select_sensors("FD001"))
-    trace = statistic_trace(outcome.monitor, selected.sensors)
+    lines = [
+        json.dumps({"unit": series.unit_id, "cycle": int(c), "sensors": series.sensors[i].tolist()})
+        for i, c in enumerate(series.cycles)
+    ]
+    out = io.StringIO()
+    run_monitor(os.path.join(cfg.out_dir, "monitors"), lines, out, checkpoint_path=checkpoint)
+    status = [e for e in map(json.loads, out.getvalue().splitlines()) if e["type"] != "change_point"]
     assert [e["type"] for e in status] == ["status"] * series.k_max
-    assert all(e["t2"] is None and e["q"] is None for e in status[: trace.start_cycle - 1])
+
+    p = cfg.p
+    sensors = apply_selection(series, select_sensors("FD001")).sensors
+    trace = statistic_trace(outcome.monitor, sensors)
+    assert trace.start_cycle == p + 1
+    assert all(e["t2"] is None and e["q"] is None for e in status[:p])
+    for k in range(p + 1, series.k_max + 1):
+        own = statistic_trace(outcome.monitor, sensors[k - p - 1 : k])
+        assert (status[k - 1]["t2"], status[k - 1]["q"]) == (own.t2[0], own.q[0]), k
     for key, offline in (("t2", trace.t2), ("q", trace.q)):
-        online = [e[key] for e in status[trace.start_cycle - 1 :]]
-        np.testing.assert_allclose(online, offline, rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose([e[key] for e in status[p:]], offline, rtol=1e-12, atol=0.0)
+    return status, sensors
+
+
+def test_stream_reproduces_offline_statistic_trace(corpus, detect_run):
+    """The stream without a regressor, holding p+1 rows per device."""
+    cfg, outcomes, _, _ = detect_run
+    _assert_stream_matches_trace(corpus[0], cfg, outcomes)
+
+
+def test_stream_with_float32_checkpoint_reproduces_offline_statistic_trace(
+    corpus, detect_run, trained_run
+):
+    """The stream with a float32 regressor, holding a whole RUL window of rows;
+    each estimate is the regressor's on the last L rows up to its cycle."""
+    from changepoint_rul.cva import apply_standardizer
+    from changepoint_rul.labeling import trailing_window
+    from changepoint_rul.lstm import predict
+    from changepoint_rul.pipeline import read_checkpoint
+
+    cfg, outcomes, _, _ = detect_run
+    checkpoint = os.path.join(trained_run[0].out_dir, "checkpoint.npz")
+    regressor, _, pooled = read_checkpoint(checkpoint)
+    length = regressor.sequence_length
+    assert regressor.dtype == np.float32 and length > cfg.p + 1
+    status, sensors = _assert_stream_matches_trace(corpus[0], cfg, outcomes, checkpoint=checkpoint)
+    estimated = [k for k, e in enumerate(status, start=1) if "rul" in e]
+    assert estimated
+    for k in estimated:
+        x = apply_standardizer(pooled, sensors[max(0, k - length) : k].T).T
+        assert status[k - 1]["rul"] == predict(regressor, trailing_window(x, length), cap=130.0)

@@ -25,15 +25,7 @@ def scalar_monitor(cl_t2=4.0, cl_q=1e9, persistence=3):
         j=np.eye(1),
         j_res=np.zeros((1, 1)),
     )
-    return MonitorModel(
-        cva=cva,
-        alpha=0.99,
-        cl_t2=cl_t2,
-        cl_q=cl_q,
-        persistence=persistence,
-        normal_window=60,
-        validation_window=20,
-    )
+    return MonitorModel(cva=cva, cl_t2=cl_t2, cl_q=cl_q, persistence=persistence)
 
 
 def stream_values(monitor, values, unit=1):
