@@ -1,0 +1,209 @@
+"""Time change-point detection over one fleet, and check that checkouts agree.
+
+    python3 scripts/detect_probe.py [--src DIR ...] [--reps N] [--warmup W] [--out FILE]
+
+The fleet is FD004-shaped: 249 engines whose lifespans run evenly over
+128..543 cycles, each with the 16 selected channels of
+``tests/synthetic.py``'s ``make_engine_series`` and a change point injected
+60..110 cycles before the end. The readings are not rounded as a log's are,
+so sums taken in another order show in the last bits. The config is
+``default_config("FD004")`` (p=2, r=21, a 60-cycle normal window), so
+engines under 200 cycles take the fallback and the rest are fitted.
+
+Each repetition runs ``run_detect(write=False)`` once per checkout and times
+it whole (``run_detect``) and in three sub-steps, each the summed time of the
+calls of one function that ``monitoring`` looks up: ``fit`` (``fit_cva``),
+``limits`` (``kde_control_limit``) and ``scan`` (``detect_change_point``).
+The first ``--warmup`` repetitions are dropped; the median and quartiles of the
+rest are reported in ms.
+
+``--src`` names a checkout's ``src`` directory (default: this checkout's). Given
+more than once, every checkout's package is loaded into this one process and
+each repetition runs them in turn, the order reversed every other repetition,
+so that a drift in host speed hits all of them alike; ``ratio_to_first`` is
+then the median over repetitions of each checkout's time over the first's,
+and ``same_as_first`` tells whether its outcome records and monitor arrays
+(``w``, ``vr``, ``singular_values``, ``j``, ``j_res``, ``mean``, ``std``)
+equal the first checkout's exactly. BLAS is held to one thread before numpy
+loads. The JSON result goes to stdout, and to ``--out`` if given.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import importlib.util
+import json
+import os
+import statistics
+import sys
+import time
+import warnings
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402  (imported once the thread count is set)
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tests"))
+sys.path.insert(1, str(ROOT / "src"))  # synthetic.py imports the package by name
+
+from synthetic import make_engine_series  # noqa: E402
+
+N_ENGINES, SHORTEST, LONGEST, SEED = 249, 128, 543, 0
+SUB_STEPS = {"fit": "fit_cva", "limits": "kde_control_limit", "scan": "detect_change_point"}
+ARRAYS = ("w", "vr", "singular_values", "j", "j_res")
+
+
+def load_package(src: str, index: int):
+    """The package under src, imported under a name of its own."""
+    package_dir = Path(src) / "changepoint_rul"
+    name = f"_probed_{index}"
+    spec = importlib.util.spec_from_file_location(
+        name, package_dir / "__init__.py", submodule_search_locations=[str(package_dir)]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def fleet_rows() -> list:
+    """(unit, k_max, (k_max, 16) selected channels) of every engine."""
+    rng = np.random.default_rng(SEED)
+    rows = []
+    for unit, k_max in enumerate(np.linspace(SHORTEST, LONGEST, N_ENGINES).round().astype(int), 1):
+        k_max = int(k_max)
+        k_cp = k_max - int(rng.integers(60, 111))
+        series = make_engine_series(unit, k_max, k_cp, seed=SEED + unit, n_channels=16)
+        rows.append((unit, k_max, series.sensors))
+    return rows
+
+
+def summary(samples_ms: list) -> dict:
+    if len(samples_ms) > 1:
+        q1, median, q3 = statistics.quantiles(samples_ms, n=4)
+    else:
+        q1 = median = q3 = samples_ms[0]
+    return {"median_ms": round(median, 3), "q1_ms": round(q1, 3), "q3_ms": round(q3, 3)}
+
+
+def detect_step(package, rows):
+    """A step that runs one package's detection over the fleet and returns its
+    times in ms, plus the list the step leaves its last outcomes in."""
+    monitoring, pipeline = package.monitoring, package.pipeline
+    engines = [
+        package.cmapss.EngineSeries("FD004", unit, np.arange(1, k_max + 1), np.zeros((k_max, 3)), sensors)
+        for unit, k_max, sensors in rows
+    ]
+    config = package.config.default_config("FD004")
+    spent = dict.fromkeys(SUB_STEPS, 0.0)
+    for step, attr in SUB_STEPS.items():  # time every call that monitoring makes
+        original = getattr(monitoring, attr)
+
+        def timed(*args, _original=original, _step=step, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return _original(*args, **kwargs)
+            finally:
+                spent[_step] += time.perf_counter() - t0
+
+        setattr(monitoring, attr, timed)
+    last = []
+
+    def step():
+        for key in spent:
+            spent[key] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the clamped change points of the fleet
+            t0 = time.perf_counter()
+            outcomes, _ = pipeline.run_detect(config, engines=engines, write=False)
+            total = time.perf_counter() - t0
+        last[:] = outcomes
+        return {"run_detect": 1e3 * total, **{key: 1e3 * value for key, value in spent.items()}}
+
+    return step, last
+
+
+def fingerprint(outcomes) -> list:
+    """Each outcome's record plus its monitor arrays, as plain values."""
+    prints = []
+    for o in outcomes:
+        arrays = None
+        if o.monitor is not None:
+            cva = o.monitor.cva
+            arrays = {name: getattr(cva, name) for name in ARRAYS}
+            arrays.update(mean=cva.standardizer.mean, std=cva.standardizer.std)
+        prints.append((o.record("FD004"), arrays))
+    return prints
+
+
+def same(a: list, b: list) -> bool:
+    if len(a) != len(b):
+        return False
+    for (record_a, arrays_a), (record_b, arrays_b) in zip(a, b):
+        if record_a != record_b or (arrays_a is None) != (arrays_b is None):
+            return False
+        if arrays_a is not None and not all(  # bit for bit: -0.0 is not 0.0 here
+            arrays_a[name].shape == arrays_b[name].shape
+            and arrays_a[name].tobytes() == arrays_b[name].tobytes()
+            for name in arrays_a
+        ):
+            return False
+    return True
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", action="append", help="a checkout's src directory; repeatable")
+    parser.add_argument("--reps", type=int, default=30)
+    parser.add_argument("--warmup", type=int, default=3)
+    parser.add_argument("--out")
+    args = parser.parse_args(argv)
+    if args.reps < 1 or args.warmup < 0:
+        parser.error("--reps must be >= 1 and --warmup >= 0")
+    sources = [str(Path(src).resolve()) for src in args.src or [ROOT / "src"]]
+    rows = fleet_rows()
+    built = [detect_step(load_package(src, i), rows) for i, src in enumerate(sources)]
+    samples = [[] for _ in built]
+    for rep in range(args.warmup + args.reps):
+        order = range(len(built)) if rep % 2 == 0 else reversed(range(len(built)))
+        for i in order:
+            sample = built[i][0]()
+            if rep >= args.warmup:
+                samples[i].append(sample)
+    first = fingerprint(built[0][1])
+    results = {}
+    for src, kept, (_, outcomes) in zip(sources, samples, built):
+        keys = ("run_detect", *SUB_STEPS)
+        results[src] = {
+            **{key: summary([s[key] for s in kept]) for key in keys},
+            "engines": len(outcomes),
+            "fitted": sum(o.monitor is not None for o in outcomes),
+            "detected": sum(o.k_cp is not None for o in outcomes),
+        }
+        if len(sources) > 1:
+            results[src]["ratio_to_first"] = {
+                key: round(statistics.median(s[key] / f[key] for s, f in zip(kept, samples[0])), 4)
+                for key in keys
+            }
+            results[src]["same_as_first"] = same(fingerprint(outcomes), first)
+    result = {
+        "fleet": f"{N_ENGINES} FD004-shaped engines, lifespans {SHORTEST}..{LONGEST}, "
+        f"seed {SEED}; default_config('FD004'), run_detect(write=False)",
+        "threads": "OPENBLAS_NUM_THREADS=OMP_NUM_THREADS=MKL_NUM_THREADS=1",
+        "reps": args.reps,
+        "warmup": args.warmup,
+        "results": results,
+    }
+    text = json.dumps(result, indent=1)
+    print(text)
+    if args.out:
+        Path(args.out).write_text(text + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -72,6 +72,7 @@ from .monitoring import (
     compute_statistics,
     detect_change_point,
     fit_device_monitor,
+    fit_device_monitors,
     kde_control_limit,
     statistic_trace,
     validate_normal_window,

@@ -3,7 +3,8 @@
 Input files are ASCII with 26 space- or tab-separated positional columns
 per row: unit id, cycle, 3 operating settings, 21 sensor channels. No
 headers. Trailing whitespace, blank lines and CRLF line ends are tolerated
-(the raw distribution contains trailing spaces).
+(the raw distribution contains trailing spaces). Every value must be finite
+and at most MAX_ABS_READING in magnitude.
 """
 
 from __future__ import annotations
@@ -22,6 +23,11 @@ DATASETS = ("FD001", "FD002", "FD003", "FD004")
 N_OP_SETTINGS = 3
 N_SENSORS = 21
 N_COLUMNS = 2 + N_OP_SETTINGS + N_SENSORS
+
+# Larger readings, in a log or in the stream, are rejected as corrupt: a normal
+# window's variance must stay finite, and so must the squared statistics once
+# the readings are standardized and lagged.
+MAX_ABS_READING = 1e100
 
 # 1-based sensor indices dropped per dataset: flat/constant channels for the
 # single-condition datasets, erratic range-bound channels for the
@@ -93,7 +99,8 @@ def parse_cmapss_file(text: str, dataset_id: str = "FD001") -> list[EngineSeries
     """Parse a train/test log, in one ``np.loadtxt`` call, into per-engine series.
 
     Raises ParseError naming the first row off the module docstring's grammar,
-    non-finite, or with a unit id that is not a positive integer, and
+    with a value that is not finite or beyond MAX_ABS_READING in magnitude, or
+    with a unit id that is not a positive integer, and
     IntegrityError naming the unit when its cycles are not 1..k_max.
     """
     _check_dataset_id(dataset_id)
@@ -109,7 +116,8 @@ def parse_cmapss_file(text: str, dataset_id: str = "FD001") -> list[EngineSeries
             pass
     if table is not None and not len(table):
         return []
-    ok = table is not None and table.shape[1] == N_COLUMNS and np.isfinite(table).all()
+    ok = table is not None and table.shape[1] == N_COLUMNS
+    ok = ok and (np.abs(table) <= MAX_ABS_READING).all()  # also false for nan
     if not (ok and np.all((table[:, 0] > 0) & (table[:, 0] % 1 == 0))):
         raise _row_error(rows)
 
@@ -152,8 +160,8 @@ def _row_error(rows: list) -> ParseError:
             except ValueError:
                 return ParseError(f"row {lineno}: non-numeric field {field!r}")
         values = [float(f) for f in fields]
-        if not all(map(math.isfinite, values)):
-            return ParseError(f"row {lineno}: non-finite value")
+        if not all(abs(v) <= MAX_ABS_READING for v in values):  # also false for nan
+            return ParseError(f"row {lineno}: value not finite or beyond {MAX_ABS_READING:g}")
         if values and not (values[0] > 0 and values[0].is_integer()):
             return ParseError(f"row {lineno}: unit id must be a positive integer")
     raise AssertionError("the log was rejected as a whole but every row parses")

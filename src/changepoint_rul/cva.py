@@ -1,7 +1,10 @@
 """Past/future lag embedding and canonical-variate transforms.
 
 All arrays in this module are variable-major: a series is (m, N) with one
-row per sensor channel. Channels are standardized before lagging, so every
+row per sensor channel. Every fit and transform also takes an (n, m, N)
+stack of such series and treats each of its n matrices on its own, so a
+fleet is fitted in one call of each; a single series is the case without
+the leading axis. Channels are standardized before lagging, so every
 lag copy of a channel shares the same scale parameters and the projection
 transforms stay strictly linear (a zero input column maps to zero variates).
 
@@ -32,7 +35,7 @@ EIG_FLOOR_RATIO = 1e-8
 
 @dataclass(frozen=True)
 class LaggedMatrices:
-    """Stacked past/future matrices, each of shape (m*p, n_eff)."""
+    """Stacked past/future matrices, each of shape (m*p, n_eff), or (n, m*p, n_eff)."""
 
     xp: np.ndarray
     xf: np.ndarray
@@ -40,7 +43,7 @@ class LaggedMatrices:
 
     @property
     def n_effective(self) -> int:
-        return self.xp.shape[1]
+        return self.xp.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -52,85 +55,88 @@ class Standardizer:
 
 
 def fit_standardizer(x: np.ndarray) -> Standardizer:
-    """Fit per-row mean and (ddof=1) standard deviation of an (m, N) matrix.
+    """Fit per-row mean and (ddof=1) standard deviation of an (m, N) matrix,
+    or of each matrix of an (n, m, N) stack.
 
-    Rows with no variance are floored to STD_FLOOR with a warning so they
-    standardize to exactly zero.
+    Rows with no variance are floored to STD_FLOOR, with one warning per
+    matrix that has any, so they standardize to exactly zero.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] < 2:
+    if x.ndim not in (2, 3) or x.shape[-1] < 2:
         raise InsufficientDataError("standardizer needs an (m, N) matrix with N >= 2")
-    mean = x.mean(axis=1)
-    std = x.std(axis=1, ddof=1)
+    mean = x.mean(axis=-1)
+    std = x.std(axis=-1, ddof=1)
     floored = std < STD_FLOOR
-    if np.any(floored):
-        warnings.warn(
-            f"{int(floored.sum())} zero-variance channel(s), flooring scale at {STD_FLOOR}",
-            stacklevel=2,
-        )
-        std = np.where(floored, STD_FLOOR, std)
-    return Standardizer(mean=mean, std=std)
+    for count in np.atleast_1d(floored.sum(axis=-1)):
+        if count:
+            warnings.warn(
+                f"{int(count)} zero-variance channel(s), flooring scale at {STD_FLOOR}",
+                stacklevel=2,
+            )
+    return Standardizer(mean=mean, std=np.where(floored, STD_FLOOR, std))
 
 
 def apply_standardizer(standardizer: Standardizer, x: np.ndarray) -> np.ndarray:
-    """Apply stored parameters to an (m, N) matrix."""
+    """Apply stored parameters to an (m, N) matrix, or to a stack of them."""
     x = np.asarray(x, dtype=float)
-    if x.shape[0] != standardizer.mean.shape[0]:
+    if x.shape[-2] != standardizer.mean.shape[-1]:
         raise ShapeError(
-            f"matrix has {x.shape[0]} channels, standardizer was fit on "
-            f"{standardizer.mean.shape[0]}"
+            f"matrix has {x.shape[-2]} channels, standardizer was fit on "
+            f"{standardizer.mean.shape[-1]}"
         )
-    return (x - standardizer.mean[:, None]) / standardizer.std[:, None]
+    return (x - standardizer.mean[..., None]) / standardizer.std[..., None]
 
 
 def build_past_matrix(x: np.ndarray, p: int) -> np.ndarray:
-    """Past-lag matrix of an (m, N) series, newest lag first.
+    """Past-lag matrix of an (m, N) series, or of each in a stack, newest lag first.
 
     Columns cover cycles p+1 .. N (no future truncation).
     """
     x = np.asarray(x, dtype=float)
-    m, n = x.shape
+    m, n = x.shape[-2:]
     if n <= p:
         raise InsufficientDataError(f"need more than p={p} observations, got {n}")
     n_cols = n - p
-    xp = np.empty((m * p, n_cols))
+    xp = np.empty(x.shape[:-2] + (m * p, n_cols))
     for lag in range(1, p + 1):  # block j holds x_{k-j}
-        xp[(lag - 1) * m : lag * m, :] = x[:, p - lag : p - lag + n_cols]
+        xp[..., (lag - 1) * m : lag * m, :] = x[..., p - lag : p - lag + n_cols]
     return xp
 
 
 def build_lagged_matrices(x: np.ndarray, p: int) -> LaggedMatrices:
-    """Expand an (m, N) series into stacked past/future matrices of p lags each.
+    """Expand an (m, N) series, or each of an (n, m, N) stack, into stacked
+    past/future matrices of p lags each.
 
     Requires p >= 1 and N >= 2p.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ShapeError("expected an (m, N) matrix")
+    if x.ndim not in (2, 3):
+        raise ShapeError("expected an (m, N) matrix or an (n, m, N) stack")
     if p < 1:
         raise ConfigError(f"lag count must be >= 1, got p={p}")
-    m, n = x.shape
+    m, n = x.shape[-2:]
     n_eff = n - 2 * p + 1
     if n_eff < 1:
         raise InsufficientDataError(f"need N >= 2p = {2 * p} observations, got {n}")
-    xp = build_past_matrix(x[:, : n - p + 1], p)
-    xf = np.empty((m * p, n_eff))
+    xp = build_past_matrix(x[..., : n - p + 1], p)
+    xf = np.empty(x.shape[:-2] + (m * p, n_eff))
     for step in range(p):  # oldest first: block j holds x_{k+j}
-        xf[step * m : (step + 1) * m, :] = x[:, p + step : p + step + n_eff]
+        xf[..., step * m : (step + 1) * m, :] = x[..., p + step : p + step + n_eff]
     return LaggedMatrices(xp=xp, xf=xf, p=p)
 
 
 def _inverse_sqrt_sym(s: np.ndarray) -> np.ndarray:
-    """Inverse square root of a symmetric PSD matrix with eigenvalue flooring."""
-    s = 0.5 * (s + s.T)
+    """Inverse square root of each symmetric PSD matrix of a (..., k, k) stack,
+    with eigenvalue flooring."""
+    s = 0.5 * (s + s.swapaxes(-1, -2))
     eigvals, eigvecs = np.linalg.eigh(s)
     if not np.all(np.isfinite(eigvals)):
         raise NumericError("covariance eigendecomposition produced non-finite values")
-    largest = eigvals[-1]
-    if largest <= 0:
+    largest = eigvals[..., -1:]
+    if np.any(largest <= 0):
         raise NumericError("covariance matrix is not positive semidefinite")
     floored = np.maximum(eigvals, EIG_FLOOR_RATIO * largest)
-    return (eigvecs * (1.0 / np.sqrt(floored))) @ eigvecs.T
+    return (eigvecs * (1.0 / np.sqrt(floored))[..., None, :]) @ eigvecs.swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -140,7 +146,8 @@ class CvaModel:
     ``w`` whitens the past space, ``vr`` holds the retained right singular
     vectors, ``j = vr.T @ w`` maps a past column to the r dominant variates
     and ``j_res = (I - vr vr.T) @ w`` to the residual space, so that
-    w @ xp == vr @ z + e column by column.
+    w @ xp == vr @ z + e column by column. A model fitted on a stack holds
+    each array with the stack's leading axis; ``unstack`` splits it.
     """
 
     standardizer: Standardizer | None
@@ -156,43 +163,58 @@ class CvaModel:
     def from_transforms(cls, standardizer, p: int, w, vr, singular_values) -> "CvaModel":
         """Model of the given transforms, with ``j`` and ``j_res`` derived from them;
         ``vr`` is taken in one layout, as BLAS rounds differently by layout."""
-        vt = np.ascontiguousarray(vr.T)
+        vt = np.ascontiguousarray(vr.swapaxes(-1, -2))
+        vr = vt.swapaxes(-1, -2)
         return cls(
             standardizer=standardizer,
             p=p,
-            r=vt.shape[0],
+            r=vt.shape[-2],
             w=w,
-            vr=vt.T,
+            vr=vr,
             singular_values=singular_values,
             j=vt @ w,
-            j_res=(np.eye(w.shape[0]) - vt.T @ vt) @ w,
+            j_res=(np.eye(w.shape[-1]) - vr @ vt) @ w,
         )
+
+    def unstack(self) -> list["CvaModel"]:
+        """One model per matrix of the stack this model was fitted on."""
+        s = self.standardizer
+        return [
+            CvaModel(Standardizer(mean, std), self.p, self.r, *arrays)
+            for mean, std, *arrays in zip(
+                s.mean, s.std, self.w, self.vr, self.singular_values, self.j, self.j_res
+            )
+        ]
 
 
 def fit_cva(lagged: LaggedMatrices, r: int, standardizer: Standardizer | None = None) -> CvaModel:
-    """Fit the canonical-variate transforms from stacked lag matrices.
+    """Fit the canonical-variate transforms from stacked lag matrices, or
+    from each (m*p, n_eff) pair of an (n, m*p, n_eff) stack at once.
 
     The whitened cross-covariance is decomposed by SVD and the first r right
     singular vectors (ordered by singular value) are retained. Covariances
     use 1/(n_eff - 1) normalization without re-centering; the inputs are
     expected to come from standardized channels.
     """
-    mp = lagged.xp.shape[0]
+    mp = lagged.xp.shape[-2]
     if not 1 <= r <= mp:
         raise ConfigError(f"retained variate count r={r} out of range 1..{mp}")
     n_eff = lagged.n_effective
     if n_eff < 2:
         raise InsufficientDataError("covariance estimation needs n_eff > 1")
     scale = 1.0 / (n_eff - 1)
-    s_pp = scale * (lagged.xp @ lagged.xp.T)
-    s_ff = scale * (lagged.xf @ lagged.xf.T)
-    s_fp = scale * (lagged.xf @ lagged.xp.T)
-    w = _inverse_sqrt_sym(s_pp)
-    w_f = _inverse_sqrt_sym(s_ff)
-    _, singular_values, vt = np.linalg.svd(w_f @ s_fp @ w, full_matrices=False)
-    if r > vt.shape[0]:
-        raise ConfigError(f"r={r} exceeds the {vt.shape[0]} available singular directions")
-    return CvaModel.from_transforms(standardizer, lagged.p, w, vt[:r].T, singular_values)
+    xp, xf = lagged.xp, lagged.xf
+    # covariances as temporaries, each freed once used: a fleet's stacks are large
+    w = _inverse_sqrt_sym(scale * (xp @ xp.swapaxes(-1, -2)))
+    w_f = _inverse_sqrt_sym(scale * (xf @ xf.swapaxes(-1, -2)))
+    _, singular_values, vt = np.linalg.svd(
+        w_f @ (scale * (xf @ xp.swapaxes(-1, -2))) @ w, full_matrices=False
+    )
+    if r > vt.shape[-2]:
+        raise ConfigError(f"r={r} exceeds the {vt.shape[-2]} available singular directions")
+    return CvaModel.from_transforms(
+        standardizer, lagged.p, w, vt[..., :r, :].swapaxes(-1, -2), singular_values
+    )
 
 
 def project(model: CvaModel, xp_new: np.ndarray):

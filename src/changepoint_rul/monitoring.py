@@ -5,7 +5,10 @@ window, control limits for the two monitoring statistics are estimated by
 kernel density estimation at a one-sided confidence level, the following
 validation window is checked against those limits, and the remaining cycles
 are scanned for the first cycle whose statistic stays above its limit
-through end of life.
+through end of life. A fleet is fitted in stacked arrays: one standardizer,
+lag embedding and CVA solve over all the normal windows, and one lockstep
+bisection for every control limit; each device keeps its own results, the
+same bits it would get when fitted alone.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .cva import (
     fit_standardizer,
     project,
 )
-from .errors import ConfigError, InsufficientDataError, IntegrityError
+from .errors import ConfigError, InsufficientDataError, IntegrityError, ShapeError
 
 KDE_MIN_SAMPLES = 30
 # Relative width at which the control-limit bisection stops.
@@ -78,57 +81,69 @@ def compute_statistics(z: np.ndarray, e: np.ndarray, start_cycle: int = 1) -> St
     """Column-wise sums of squares of the dominant and residual variates."""
     z = np.atleast_2d(np.asarray(z, dtype=float))
     e = np.atleast_2d(np.asarray(e, dtype=float))
-    return StatisticSeries(
-        t2=np.sum(z * z, axis=0), q=np.sum(e * e, axis=0), start_cycle=start_cycle
+    return StatisticSeries(  # np.add.reduce: np.sum's arithmetic, without its call overhead
+        t2=np.add.reduce(z * z, axis=0), q=np.add.reduce(e * e, axis=0), start_cycle=start_cycle
     )
 
 
-def silverman_bandwidth(samples: np.ndarray) -> float:
-    """h = 1.06 * sigma * n^(-1/5) with sigma the ddof=1 sample deviation."""
+def silverman_bandwidth(samples: np.ndarray):
+    """h = 1.06 * sigma * n^(-1/5) with sigma the ddof=1 sample deviation, per row."""
     samples = np.asarray(samples, dtype=float)
-    return 1.06 * samples.std(ddof=1) * len(samples) ** (-0.2)
+    return 1.06 * samples.std(axis=-1, ddof=1) * samples.shape[-1] ** (-0.2)
 
 
-def kde_cdf(samples: np.ndarray, bandwidth: float, x: float) -> float:
-    """CDF of a Gaussian-kernel density estimate, evaluated at x."""
-    return float(ndtr((x - samples) / bandwidth).mean())
+def kde_cdf(samples: np.ndarray, bandwidth: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """CDF of each row's Gaussian-kernel density estimate at that row's x:
+    ``samples`` is (k, n), ``bandwidth`` and ``x`` are (k,)."""
+    return ndtr((x[:, None] - samples) / bandwidth[:, None]).mean(axis=1)
 
 
-def kde_control_limit(samples, alpha: float) -> float:
+def kde_control_limit(samples, alpha: float):
     """Upper control limit: the alpha-quantile of a Gaussian-kernel KDE.
 
-    Solved by bisection of CDF(x) = alpha on [min sample, max sample + 5h].
-    Degenerate all-equal samples return the common value plus a small floor
-    term, with a warning.
+    ``samples`` is 1-D, giving a float, or a (k, n) stack, giving one limit
+    per row. Each row is solved by bisection of CDF(x) = alpha on
+    [min sample, max sample + 5h]; the rows step in lockstep, each stopping
+    at its own width test, so a row's limit is the one it gets alone. The
+    CDF at the minimum is at most 1/2 < alpha, so the root is never the
+    minimum itself. Degenerate all-equal rows get the common value plus a
+    small floor term, with one warning each.
     """
-    samples = np.asarray(samples, dtype=float).ravel()
-    if len(samples) < KDE_MIN_SAMPLES:
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim not in (1, 2):
+        raise ShapeError(f"expected 1-D samples or a (k, n) stack, got shape {samples.shape}")
+    rows = np.atleast_2d(samples)
+    if rows.shape[1] < KDE_MIN_SAMPLES:
         raise InsufficientDataError(
-            f"control limit estimation needs >= {KDE_MIN_SAMPLES} samples, got {len(samples)}"
+            f"control limit estimation needs >= {KDE_MIN_SAMPLES} samples, got {rows.shape[1]}"
         )
     if not 0.5 < alpha < 1.0:
         raise ConfigError(f"confidence level must lie in (0.5, 1), got {alpha}")
-    bandwidth = silverman_bandwidth(samples)
-    if bandwidth <= 0:
-        common = float(samples[0])
-        floor = 1e-6 * max(1.0, abs(common))
+    bandwidth = silverman_bandwidth(rows)
+    degenerate = bandwidth <= 0
+    for _ in range(np.count_nonzero(degenerate)):
         warnings.warn(
             "degenerate statistic sample (zero spread); control limit set to "
             "the common value plus a floor term",
             stacklevel=2,
         )
-        return common + floor
-    lo = float(samples.min())
-    hi = float(samples.max() + 5.0 * bandwidth)
-    if kde_cdf(samples, bandwidth, lo) >= alpha:
-        return lo
-    while (hi - lo) > KDE_RTOL * max(1.0, abs(hi)):
+    lo = rows.min(axis=1)
+    hi = np.where(degenerate, lo, rows.max(axis=1) + 5.0 * bandwidth)
+    bandwidth[degenerate] = 1.0  # any width: these rows have hi == lo, so never bisect
+
+    def open_rows():
+        return (hi - lo) > KDE_RTOL * np.maximum(1.0, np.abs(hi))
+
+    active = open_rows()
+    while active.any():
         mid = 0.5 * (lo + hi)
-        if kde_cdf(samples, bandwidth, mid) < alpha:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        below = kde_cdf(rows, bandwidth, mid) < alpha
+        lo = np.where(active & below, mid, lo)
+        hi = np.where(active & ~below, mid, hi)
+        active = open_rows()
+    common = rows[:, 0]
+    limits = np.where(degenerate, common + 1e-6 * np.maximum(1.0, np.abs(common)), 0.5 * (lo + hi))
+    return limits if samples.ndim == 2 else float(limits[0])
 
 
 @dataclass(frozen=True)
@@ -346,11 +361,10 @@ def validate_normal_window(
 
 
 def _longest_run(mask: np.ndarray) -> int:
-    longest = current = 0
-    for breached in mask:
-        current = current + 1 if breached else 0
-        longest = max(longest, current)
-    return longest
+    """Length of the longest all-true run: the changes of the False-padded mask
+    alternate run starts and run ends."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
+    return int((edges[1::2] - edges[::2]).max(initial=0))
 
 
 def compute_lambda(stats: StatisticSeries, cl_t2: float, cl_q: float) -> int:
@@ -397,9 +411,10 @@ def detect_change_point(
     )
 
 
-def _statistics(cva: CvaModel, x_std: np.ndarray) -> StatisticSeries:
-    """Statistics of cycles p+1 .. N of a standardized (m, N) series."""
-    z, e = project(cva, build_past_matrix(x_std, cva.p))
+def _statistics(cva: CvaModel, sensors: np.ndarray) -> StatisticSeries:
+    """Statistics of cycles p+1 .. N of a row-per-cycle (N, m) series."""
+    x = apply_standardizer(cva.standardizer, np.asarray(sensors, dtype=float).T)
+    z, e = project(cva, build_past_matrix(x, cva.p))
     return compute_statistics(z, e, start_cycle=cva.p + 1)
 
 
@@ -409,63 +424,89 @@ def statistic_trace(model: MonitorModel, sensors: np.ndarray) -> StatisticSeries
     ``sensors`` is row-per-cycle with the monitor's channel count; cycles
     p+1 .. k_max are covered (the first p cycles only seed the lags).
     """
-    x = apply_standardizer(model.cva.standardizer, np.asarray(sensors, dtype=float).T)
-    return _statistics(model.cva, x)
+    return _statistics(model.cva, sensors)
+
+
+def _fit_fleet_cva(engines, config: PipelineConfig) -> list[CvaModel]:
+    """Each device's standardizer and CVA, fitted on the stack of normal windows."""
+    nw = config.normal_window
+    # an (n, m, normal_window) view of row-per-cycle copies, so each channel's
+    # sums run over the cycles in the order a single (m, k_max) series has
+    normal = np.stack([s.sensors[:nw] for s in engines], dtype=float).transpose(0, 2, 1)
+    standardizer = fit_standardizer(normal)
+    lagged = build_lagged_matrices(apply_standardizer(standardizer, normal), config.p)
+    return fit_cva(lagged, config.r, standardizer=standardizer).unstack()
+
+
+def fit_device_monitors(engines, config: PipelineConfig) -> list[DeviceOutcome]:
+    """Fit a monitor on each device of a fleet and locate its change point.
+
+    The series must already be sensor-selected, each with the same channels
+    and more than normal_window + validation_window + p cycles. The fleet is
+    fitted in stacked arrays: standardizers and CVA on the (n, m,
+    normal_window) stack of normal windows, then both control limits of every
+    device in one lockstep bisection. Each device's whole life is projected
+    once: control limits come from the in-sample statistics (the lagged
+    columns of the normal window), and detection runs on cycles from the
+    monitor start through end of life. Every device gets the bits it would
+    get when fitted alone; the minimum-lifespan fallback is the caller's
+    decision.
+
+    Returns each device's DeviceOutcome, monitor included, in fleet order.
+    """
+    p, nw = config.p, config.normal_window
+    tau = nw + config.validation_window + p
+    for series in engines:
+        if series.k_max <= tau:
+            raise InsufficientDataError(
+                f"unit {series.unit_id}: lifespan {series.k_max} leaves no cycles to "
+                f"monitor after cycle {tau}"
+            )
+    if not engines:
+        return []
+
+    models = _fit_fleet_cva(engines, config)
+    all_stats = [_statistics(cva, series.sensors) for cva, series in zip(models, engines)]
+
+    n_eff = nw - 2 * p + 1  # in-sample columns: cycles p+1 .. p+n_eff
+    limits = kde_control_limit(
+        np.stack([s.t2[:n_eff] for s in all_stats] + [s.q[:n_eff] for s in all_stats]),
+        config.alpha,
+    ).tolist()
+
+    outcomes = []
+    for series, cva, stats, cl_t2, cl_q in zip(
+        engines, models, all_stats, limits[: len(engines)], limits[len(engines) :]
+    ):
+        k_max = series.k_max
+        test_stats = stats.slice_cycles(tau, k_max)
+        outcome = detect_change_point(test_stats, cl_t2, cl_q, k_max, unit_id=series.unit_id)
+        flagged = outcome.k_cp == tau
+        if flagged:
+            # Permanent breach already underway at the first monitored cycle; the
+            # true onset may be earlier, so clamp and mark for review.
+            warnings.warn(
+                f"unit {series.unit_id}: statistics breach from the first monitored "
+                f"cycle {tau}; change point clamped, review recommended",
+                stacklevel=2,
+            )
+        pre_cp_end = (outcome.k_cp - 1) if outcome.k_cp is not None else k_max
+        persistence = compute_lambda(stats.slice_cycles(p + 1, pre_cp_end), cl_t2, cl_q)
+        monitor = MonitorModel(cva=cva, cl_t2=cl_t2, cl_q=cl_q, persistence=persistence)
+        outcomes.append(
+            replace(
+                outcome,
+                persistence=persistence,
+                cl_t2=cl_t2,
+                cl_q=cl_q,
+                flagged=flagged,
+                monitor=monitor,
+            )
+        )
+    return outcomes
 
 
 def fit_device_monitor(series: EngineSeries, config: PipelineConfig) -> DeviceOutcome:
-    """Fit a monitor on one device and locate its change point.
-
-    The series must already be sensor-selected. Standardizer and CVA are fit
-    on the first normal_window cycles and the whole life is projected once:
-    control limits come from the in-sample statistics (the lagged columns of
-    the normal window), and detection runs on cycles from the monitor start
-    through end of life. Any device with cycles left to monitor is fitted;
-    the minimum-lifespan fallback is the caller's decision.
-
-    Returns the device's DeviceOutcome, monitor included.
-    """
-    k_max = series.k_max
-    tau = config.normal_window + config.validation_window + config.p
-    if k_max <= tau:
-        raise InsufficientDataError(
-            f"unit {series.unit_id}: lifespan {k_max} leaves no cycles to monitor "
-            f"after cycle {tau}"
-        )
-
-    x = np.asarray(series.sensors, dtype=float).T  # (m, k_max)
-    standardizer = fit_standardizer(x[:, : config.normal_window])
-    x_std = apply_standardizer(standardizer, x)
-
-    lagged = build_lagged_matrices(x_std[:, : config.normal_window], config.p)
-    cva_model = fit_cva(lagged, config.r, standardizer=standardizer)
-    all_stats = _statistics(cva_model, x_std)
-
-    train_stats = all_stats.slice_cycles(config.p + 1, config.p + lagged.n_effective)
-    cl_t2 = kde_control_limit(train_stats.t2, config.alpha)
-    cl_q = kde_control_limit(train_stats.q, config.alpha)
-
-    test_stats = all_stats.slice_cycles(tau, k_max)
-    outcome = detect_change_point(test_stats, cl_t2, cl_q, k_max, unit_id=series.unit_id)
-    flagged = outcome.k_cp == tau
-    if flagged:
-        # Permanent breach already underway at the first monitored cycle; the
-        # true onset may be earlier, so clamp and mark for review.
-        warnings.warn(
-            f"unit {series.unit_id}: statistics breach from the first monitored "
-            f"cycle {tau}; change point clamped, review recommended",
-            stacklevel=2,
-        )
-
-    pre_cp_end = (outcome.k_cp - 1) if outcome.k_cp is not None else k_max
-    persistence = compute_lambda(all_stats.slice_cycles(config.p + 1, pre_cp_end), cl_t2, cl_q)
-
-    monitor = MonitorModel(cva=cva_model, cl_t2=cl_t2, cl_q=cl_q, persistence=persistence)
-    return replace(
-        outcome,
-        persistence=persistence,
-        cl_t2=cl_t2,
-        cl_q=cl_q,
-        flagged=flagged,
-        monitor=monitor,
-    )
+    """Fit one device's monitor and locate its change point: the fleet fit of
+    a fleet of one."""
+    return fit_device_monitors([series], config)[0]

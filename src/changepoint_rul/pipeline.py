@@ -33,22 +33,12 @@ from .metrics import evaluate_predictions, format_metrics_row
 from .monitoring import (
     REPORT_COLUMNS,
     DeviceOutcome,
-    fit_device_monitor,
+    fit_device_monitors,
     save_monitors,
     statistic_trace,
 )
 
 log = logging.getLogger(__name__)
-
-def detect_device(series, config: PipelineConfig) -> DeviceOutcome:
-    """Fit one engine's monitor. An engine shorter than the minimum lifespan,
-    or too short to monitor at all, gets the fixed-cap fallback instead."""
-    if series.k_max >= config.min_lifespan:
-        try:
-            return fit_device_monitor(series, config)
-        except InsufficientDataError:
-            pass
-    return DeviceOutcome(unit_id=series.unit_id, k_max=series.k_max)
 
 
 def _sorted_subset(engines, subset: int | None):
@@ -99,7 +89,7 @@ def _selected_train_engines(config: PipelineConfig, engines):
 
 
 def run_detect(config: PipelineConfig, engines=None, write: bool = True):
-    """Per-engine change-point detection over the train set.
+    """Change-point detection over the train set, one fleet fit for all engines.
 
     Returns (outcomes sorted by unit, summary dict). With write=True, emits
     change_points.{json,csv}, the fleet's monitor store, and optionally
@@ -107,7 +97,18 @@ def run_detect(config: PipelineConfig, engines=None, write: bool = True):
     """
     config.validate()
     selection, selected = _selected_train_engines(config, engines)
-    outcomes = [detect_device(s, config) for s in selected]
+    # Engines short of the minimum lifespan, or with no cycles to monitor, get
+    # the fixed-cap fallback; the rest are fitted as one fleet. Too few
+    # normal-window columns for a control limit comes from the settings, so
+    # then every engine falls back.
+    tau = config.normal_window + config.validation_window + config.p
+    outcomes = [DeviceOutcome(unit_id=s.unit_id, k_max=s.k_max) for s in selected]
+    fit = [i for i, s in enumerate(selected) if s.k_max >= config.min_lifespan and s.k_max > tau]
+    try:
+        for i, outcome in zip(fit, fit_device_monitors([selected[i] for i in fit], config)):
+            outcomes[i] = outcome
+    except InsufficientDataError:
+        pass
 
     summary = {
         "dataset": config.dataset_id,

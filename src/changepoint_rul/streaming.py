@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cmapss import N_SENSORS
+from .cmapss import MAX_ABS_READING, N_SENSORS
 from .config import _is_int
 from .cva import Standardizer, apply_standardizer
 from .errors import IntegrityError
@@ -32,10 +32,6 @@ from .pipeline import read_checkpoint
 STATUS_NORMAL = "normal"
 STATUS_TRANSITION = "transition"
 STATUS_DEGRADING = "degrading"
-
-# Larger readings are rejected as corrupt: once standardized and lagged, their
-# squared statistics can overflow to inf, which strict JSON cannot carry.
-MAX_ABS_READING = 1e100
 
 
 @dataclass

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from changepoint_rul.cmapss import (
+    MAX_ABS_READING,
     apply_selection,
     load_rul_targets,
     parse_cmapss_file,
@@ -66,11 +67,18 @@ def test_non_numeric_field_names_row():
         (row(1, 1).replace("0.1", "inf", 1), 1),
         (row(1, "nan"), 1),
         (row("inf", 1), 1),
+        (row(1, 1) + "\n" + row(1, 2, "1e101"), 2),  # beyond MAX_ABS_READING
+        (row(1, 1, "-1e101"), 1),
     ],
 )
 def test_non_finite_value_names_row(text, bad_row):
     with pytest.raises(ParseError, match=f"row {bad_row}"):
         parse_cmapss_file(text)
+
+
+def test_reading_bound_is_inclusive():
+    engines = parse_cmapss_file(row(1, 1, "1e100") + "\n" + row(1, 2, "-1e100"))
+    assert engines[0].sensors[:, 0].tolist() == [MAX_ABS_READING, -MAX_ABS_READING]
 
 
 def with_last(text, field):
@@ -229,7 +237,7 @@ if st is not None:
             for cycle in range(1, k_max + 1):
                 ints = draw(st.sampled_from(INTEGER_FORMS))
                 floats = draw(st.sampled_from(FLOAT_FORMS))
-                values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                values = draw(st.lists(st.floats(-MAX_ABS_READING, MAX_ABS_READING),
                                        min_size=24, max_size=24))
                 sep = draw(st.sampled_from([" ", "\t", "  ", " \t"]))
                 pad = draw(st.sampled_from(["", " ", "\t "]))
@@ -246,6 +254,7 @@ if st is not None:
         lambda f: f[:-1] + ["abc"],
         lambda f: f[:-1] + ["nan"],
         lambda f: f[:-1] + ["-inf"],
+        lambda f: f[:-1] + ["1e101"],
         lambda f: f[:-1] + ["1_000"],
         lambda f: f[:-1] + ["\u0663"],
         lambda f: ["0"] + f[1:],

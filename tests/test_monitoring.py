@@ -1,8 +1,14 @@
+import warnings
+from collections import Counter
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from scipy.stats import norm, spearmanr
 
+from changepoint_rul import monitoring
 from changepoint_rul.config import PipelineConfig
+from changepoint_rul.cva import fit_standardizer
 from changepoint_rul.errors import ConfigError, InsufficientDataError
 from changepoint_rul.monitoring import (
     StatisticSeries,
@@ -16,6 +22,12 @@ from changepoint_rul.monitoring import (
 )
 
 from synthetic import make_engine_series
+
+try:
+    from hypothesis import given
+    from hypothesis import strategies as st
+except ImportError:  # only the property tests need Hypothesis
+    st = None
 
 
 def brute_force_suffix_start(values, cl, start_cycle):
@@ -87,6 +99,19 @@ class TestKdeControlLimit:
             kde_control_limit(samples, 0.4)
         with pytest.raises(ConfigError):
             kde_control_limit(samples, 1.0)
+
+    def test_rows_of_a_stack_stop_on_their_own_width(self, monkeypatch):
+        base = np.random.default_rng(8).gamma(shape=2.0, size=60)
+        stack = np.stack([base * 1e-3, base, base * 1e4 + 5e6, base + 1e9])
+        calls = []
+        kde_cdf = monitoring.kde_cdf
+        monkeypatch.setattr(monitoring, "kde_cdf", lambda *a: calls.append(1) or kde_cdf(*a))
+        alone = []
+        for row in stack:
+            calls.clear()
+            alone.append((kde_control_limit(row, 0.99), len(calls)))
+        assert len({n for _, n in alone}) == len(stack)  # each row bisects a different number of times
+        assert kde_control_limit(stack, 0.99).tolist() == [limit for limit, _ in alone]
 
 
 class TestLambda:
@@ -214,13 +239,13 @@ class TestValidateNormalWindow:
 
 class TestFitDeviceMonitor:
     def test_short_engine_signals_fallback(self):
-        from changepoint_rul.pipeline import detect_device
+        from changepoint_rul.pipeline import run_detect
 
         series = make_engine_series(9, 150, None, seed=1, n_channels=5)
         cfg = PipelineConfig(r=5, min_lifespan=200)
         monitor = fit_device_monitor(series, cfg).monitor  # long enough to monitor
         assert monitor.persistence >= 0
-        outcome = detect_device(series, cfg)  # but below the minimum lifespan
+        [outcome], _ = run_detect(cfg, engines=[series], write=False)  # but short of min_lifespan
         assert outcome.method == "fallback_cap"
         assert outcome.monitor is None and outcome.k_cp is None and not outcome.flagged
 
@@ -309,3 +334,118 @@ class TestFitDeviceMonitor:
         assert len(points) >= 12
         rho = spearmanr(lifespans, points).statistic
         assert rho > 0.5
+
+
+def fleet_with_edge_cases():
+    """Engines of five channels: detected, fallback for either reason, flagged,
+    one constant channel in two engines, and an alternating normal window whose
+    residual statistic has zero spread."""
+    fleet = [
+        make_engine_series(1, 260, 200, seed=31, n_channels=5),
+        make_engine_series(2, 150, None, seed=32, n_channels=5),  # below the minimum lifespan
+        make_engine_series(3, 70, None, seed=33, n_channels=5),  # no cycle left to monitor
+        make_engine_series(4, 280, 75, seed=34, n_channels=5),  # drifts in validation: flagged
+        make_engine_series(5, 300, None, seed=35, n_channels=5),
+        make_engine_series(6, 240, 190, seed=36, n_channels=5),
+    ]
+    for unit, channel in ((7, 2), (8, 0)):
+        series = make_engine_series(unit, 250 + unit, None, seed=30 + unit, n_channels=5)
+        sensors = series.sensors.copy()
+        sensors[:, channel] = 3.0
+        fleet.append(replace(series, sensors=sensors))
+    series = make_engine_series(9, 230, None, seed=39, n_channels=5)
+    sensors = series.sensors.copy()
+    signs = np.where(np.arange(60) % 2, -1.0, 1.0)[:, None]
+    sensors[:60] = signs * np.array([1.0, 2.0, 0.5, 3.0, 1.25])
+    fleet.append(replace(series, sensors=sensors))
+    return fleet
+
+
+def detect_recording_warnings(cfg, engines):
+    from changepoint_rul.pipeline import run_detect
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        outcomes, _ = run_detect(cfg, engines=engines, write=False)
+    return outcomes, [(w.category, str(w.message)) for w in caught]
+
+
+MONITOR_ARRAYS = ("w", "vr", "singular_values", "j", "j_res")
+
+
+def test_fleet_fit_equals_fitting_each_engine_alone():
+    cfg = PipelineConfig(r=5)
+    fleet = fleet_with_edge_cases()
+    together, fleet_warnings = detect_recording_warnings(cfg, fleet)
+    alone, alone_warnings = [], []
+    for series in fleet:
+        [outcome], caught = detect_recording_warnings(cfg, [series])
+        alone.append(outcome)
+        alone_warnings += caught
+    assert [o.monitor is not None for o in together] == [True, False, False] + [True] * 6
+    assert [o.k_cp is not None for o in together] == [True, False, False] + [True] * 3 + [False, False, True]
+    assert [o.flagged for o in together] == [False, False, False, True] + [False] * 4 + [True]
+    for series, a, b in zip(fleet, together, alone):
+        for field in fields(a):
+            if field.name != "monitor":
+                assert getattr(a, field.name) == getattr(b, field.name), (a.unit_id, field.name)
+        assert (a.monitor is None) == (b.monitor is None)
+        if a.monitor is None:
+            continue
+        assert (a.monitor.cl_t2, a.monitor.cl_q, a.monitor.persistence) == (
+            b.monitor.cl_t2, b.monitor.cl_q, b.monitor.persistence)
+        pairs = [(getattr(a.monitor.cva, n), getattr(b.monitor.cva, n)) for n in MONITOR_ARRAYS]
+        pairs += [(getattr(a.monitor.cva.standardizer, n), getattr(b.monitor.cva.standardizer, n))
+                  for n in ("mean", "std")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the constant channels
+            single = fit_standardizer(series.sensors[: cfg.normal_window].T)
+        pairs += [(single.mean, a.monitor.cva.standardizer.mean),  # a series' own layout sums
+                  (single.std, a.monitor.cva.standardizer.std)]  # in the stack's order
+        for x, y in pairs:
+            assert x.shape == y.shape and x.tobytes() == y.tobytes(), a.unit_id
+    assert Counter(fleet_warnings) == Counter(alone_warnings)
+    texts = Counter(text.split(",")[0].split(";")[0] for _, text in fleet_warnings)
+    assert texts["1 zero-variance channel(s)"] == 2  # once per engine with a constant channel
+    assert texts["degenerate statistic sample (zero spread)"] == 1
+
+
+def plain_longest_run(mask):
+    longest = current = 0
+    for breached in mask:
+        current = current + 1 if breached else 0
+        longest = max(longest, current)
+    return longest
+
+
+if st is not None:
+    masks = st.lists(st.booleans(), max_size=80)
+
+    @given(masks, masks)
+    def test_lambda_equals_a_plain_loop(t2_mask, q_mask):
+        n = min(len(t2_mask), len(q_mask))
+        for t2, q in ((t2_mask[:n], q_mask[:n]), ([], []), ([True] * n, [False] * n)):
+            stats = StatisticSeries(t2=np.array(t2, float), q=np.array(q, float), start_cycle=1)
+            expected = max(plain_longest_run(t2), plain_longest_run(q))
+            assert compute_lambda(stats, 0.5, 0.5) == expected
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.tuples(st.sampled_from([1e-6, 1e-2, 1.0, 1e3, 1e7]),
+                           st.floats(-1e8, 1e8)), min_size=1, max_size=6),
+        st.integers(30, 90),
+        st.sampled_from([0.9, 0.95, 0.99, 0.999]),
+        st.integers(-1, 5),
+    )
+    def test_kde_stack_equals_each_row_alone(seed, scales, n, alpha, constant):
+        rng = np.random.default_rng(seed)
+        stack = np.stack([loc + scale * rng.gamma(2.0, size=n) for scale, loc in scales])
+        if 0 <= constant < len(stack):
+            stack[constant] = np.round(stack[constant, 0])  # summed exactly: zero spread
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            alone = [kde_control_limit(row, alpha) for row in stack]
+            n_alone = len(caught)
+            limits = kde_control_limit(stack, alpha)
+        assert limits.tolist() == alone
+        assert len(caught) - n_alone == n_alone == int(0 <= constant < len(stack))

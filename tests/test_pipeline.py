@@ -66,6 +66,30 @@ def trained_run(corpus, detect_run, tmp_path_factory):
     return cfg, model, history, meta
 
 
+def test_reading_at_the_bound_in_a_normal_window_round_trips(tmp_path, capsys):
+    """A reading of MAX_ABS_READING in a normal window leaves its channel's scale
+    finite, so the monitor store that detect writes loads in monitor."""
+    from changepoint_rul.cmapss import MAX_ABS_READING, select_sensors, train_file
+
+    data_dir = tmp_path / "data"
+    write_corpus(data_dir, n_train=3, n_test=2, seed=5, short_every=0)
+    path = train_file(data_dir, "FD001")
+    lines = open(path).read().split("\n")
+    fields = lines[10].split()  # unit 1, cycle 11
+    fields[5 + select_sensors("FD001").column_indices[0]] = repr(MAX_ABS_READING)
+    lines[10] = " ".join(fields)
+    open(path, "w").write("\n".join(lines))
+    cfg = default_config("FD001", data_dir=str(data_dir), out_dir=str(tmp_path / "out"))
+    outcomes, _ = run_detect(cfg)
+    assert outcomes[0].monitor.cva.standardizer.std.max() > 1e98
+    stream_path = tmp_path / "stream.jsonl"
+    stream_path.write_text(json.dumps({"unit": 1, "cycle": 1, "sensors": [1.0] * 21}) + "\n")
+    monitors = os.path.join(cfg.out_dir, "monitors")
+    assert main(["monitor", "--monitors", monitors, "--input", str(stream_path)]) == 0
+    [event] = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert event["type"] == "status" and event["unit"] == 1
+
+
 class TestDetect:
     def test_long_engines_detected_short_fall_back(self, detect_run):
         _, outcomes, summary, truth = detect_run
