@@ -14,18 +14,25 @@ Each repetition runs ``run_detect(write=False)`` once per checkout and times
 it whole (``run_detect``) and in three sub-steps, each the summed time of the
 calls of one function that ``monitoring`` looks up: ``fit`` (``fit_cva``),
 ``limits`` (``kde_control_limit``) and ``scan`` (``detect_change_point``).
-The first ``--warmup`` repetitions are dropped; the median and quartiles of the
-rest are reported in ms.
+It also times ``read``: ``pipeline._load_split(config, "train")`` over the same
+fleet, written once to a temporary directory as a C-MAPSS log (the selected
+channels at their raw positions, the dropped channels and the settings 0;
+settings to 6 decimals and sensors to 4, as the logs have them), and reports
+the read's tracemalloc peak (``read_peak_mb``, one extra untimed call per
+checkout). The first ``--warmup`` repetitions are dropped; the median and
+quartiles of the rest are reported in ms.
 
 ``--src`` names a checkout's ``src`` directory (default: this checkout's). Given
 more than once, every checkout's package is loaded into this one process and
 each repetition runs them in turn, the order reversed every other repetition,
 so that a drift in host speed hits all of them alike; ``ratio_to_first`` is
 then the median over repetitions of each checkout's time over the first's,
-and ``same_as_first`` tells whether its outcome records and monitor arrays
+``same_as_first`` tells whether its outcome records and monitor arrays
 (``w``, ``vr``, ``singular_values``, ``j``, ``j_res``, ``mean``, ``std``)
-equal the first checkout's exactly. BLAS is held to one thread before numpy
-loads. The JSON result goes to stdout, and to ``--out`` if given.
+equal the first checkout's exactly, and ``read_same_as_first`` whether its
+parsed engines (unit ids, cycles, settings, sensors) do, byte for byte. BLAS
+is held to one thread before numpy loads. The JSON result goes to stdout, and
+to ``--out`` if given.
 """
 
 from __future__ import annotations
@@ -37,7 +44,9 @@ import json
 import os
 import statistics
 import sys
+import tempfile
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -80,6 +89,18 @@ def fleet_rows() -> list:
         series = make_engine_series(unit, k_max, k_cp, seed=SEED + unit, n_channels=16)
         rows.append((unit, k_max, series.sensors))
     return rows
+
+
+def write_log(rows, data_dir: str, kept_indices) -> None:
+    """The fleet as ``train_FD004.txt``: unit, cycle, 3 settings, 21 sensors."""
+    line = "%d %d" + " %.6f" * 3 + " %.4f" * 21 + " \n"
+    columns = np.asarray(kept_indices) + 4  # after unit, cycle and the settings
+    with open(os.path.join(data_dir, "train_FD004.txt"), "w") as fh:
+        for unit, k_max, sensors in rows:
+            table = np.zeros((k_max, 26))
+            table[:, 0], table[:, 1] = unit, np.arange(1, k_max + 1)
+            table[:, columns] = sensors
+            fh.write((line * k_max) % tuple(table.ravel()))
 
 
 def summary(samples_ms: list) -> dict:
@@ -127,6 +148,39 @@ def detect_step(package, rows):
     return step, last
 
 
+def read_step(package, data_dir: str):
+    """A step that loads the written log through one package's ``_load_split``
+    and returns its time in ms, plus the list it leaves its last engines in."""
+    config = package.config.default_config("FD004", data_dir=data_dir)
+    last = []
+
+    def step():
+        last[:] = []  # the previous read's arrays are freed before this one
+        t0 = time.perf_counter()
+        engines, _ = package.pipeline._load_split(config, "train")
+        total = time.perf_counter() - t0
+        last[:] = engines
+        return {"read": 1e3 * total}
+
+    return step, last
+
+
+def read_peak_mb(step) -> float:
+    tracemalloc.start()
+    try:
+        step()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def engine_bytes(engines) -> list:
+    return [
+        (e.unit_id, e.cycles.tobytes(), e.op_settings.tobytes(), e.sensors.tobytes())
+        for e in engines
+    ]
+
+
 def fingerprint(outcomes) -> list:
     """Each outcome's record plus its monitor arrays, as plain values."""
     prints = []
@@ -166,20 +220,27 @@ def main(argv=None) -> int:
         parser.error("--reps must be >= 1 and --warmup >= 0")
     sources = [str(Path(src).resolve()) for src in args.src or [ROOT / "src"]]
     rows = fleet_rows()
-    built = [detect_step(load_package(src, i), rows) for i, src in enumerate(sources)]
-    samples = [[] for _ in built]
-    for rep in range(args.warmup + args.reps):
-        order = range(len(built)) if rep % 2 == 0 else reversed(range(len(built)))
-        for i in order:
-            sample = built[i][0]()
-            if rep >= args.warmup:
-                samples[i].append(sample)
+    packages = [load_package(src, i) for i, src in enumerate(sources)]
+    with tempfile.TemporaryDirectory() as data_dir:
+        write_log(rows, data_dir, packages[0].cmapss.select_sensors("FD004").column_indices)
+        built = [detect_step(package, rows) for package in packages]
+        reads = [read_step(package, data_dir) for package in packages]
+        samples = [[] for _ in built]
+        for rep in range(args.warmup + args.reps):
+            order = range(len(built)) if rep % 2 == 0 else reversed(range(len(built)))
+            for i in order:
+                sample = {**built[i][0](), **reads[i][0]()}
+                if rep >= args.warmup:
+                    samples[i].append(sample)
+        peaks = [read_peak_mb(step) for step, _ in reads]
     first = fingerprint(built[0][1])
+    first_read = engine_bytes(reads[0][1])
     results = {}
-    for src, kept, (_, outcomes) in zip(sources, samples, built):
-        keys = ("run_detect", *SUB_STEPS)
+    for src, kept, (_, outcomes), (_, engines), peak in zip(sources, samples, built, reads, peaks):
+        keys = ("run_detect", *SUB_STEPS, "read")
         results[src] = {
             **{key: summary([s[key] for s in kept]) for key in keys},
+            "read_peak_mb": round(peak, 2),
             "engines": len(outcomes),
             "fitted": sum(o.monitor is not None for o in outcomes),
             "detected": sum(o.k_cp is not None for o in outcomes),
@@ -190,9 +251,11 @@ def main(argv=None) -> int:
                 for key in keys
             }
             results[src]["same_as_first"] = same(fingerprint(outcomes), first)
+            results[src]["read_same_as_first"] = engine_bytes(engines) == first_read
     result = {
         "fleet": f"{N_ENGINES} FD004-shaped engines, lifespans {SHORTEST}..{LONGEST}, "
-        f"seed {SEED}; default_config('FD004'), run_detect(write=False)",
+        f"seed {SEED}; default_config('FD004'), run_detect(write=False); "
+        "read: _load_split(config, 'train') of the fleet written as a log",
         "threads": "OPENBLAS_NUM_THREADS=OMP_NUM_THREADS=MKL_NUM_THREADS=1",
         "reps": args.reps,
         "warmup": args.warmup,

@@ -13,6 +13,7 @@ from .cmapss import (
     apply_selection,
     load_rul_targets,
     parse_cmapss_file,
+    read_cmapss_file,
     select_sensors,
 )
 from .config import PipelineConfig, default_config, load_config

@@ -5,6 +5,12 @@ per row: unit id, cycle, 3 operating settings, 21 sensor channels. No
 headers. Trailing whitespace, blank lines and CRLF line ends are tolerated
 (the raw distribution contains trailing spaces). Every value must be finite
 and at most MAX_ABS_READING in magnitude.
+
+``detect``, ``train`` and ``evaluate`` read each train/test log with
+``read_cmapss_file``, which gives the engines and errors that
+``parse_cmapss_file`` gives for the file's text read as UTF-8 with universal
+newlines (so a lone CR ends a row there too). A log on the grammar goes from
+the file straight into numpy's chunked reader, with no whole-log string.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -105,23 +112,67 @@ def parse_cmapss_file(text: str, dataset_id: str = "FD001") -> list[EngineSeries
     """
     _check_dataset_id(dataset_id)
     rows = text.split("\n")
-    table = None
-    # numpy would also split fields on the ASCII whitespace other than space and tab
-    if text.isascii() and not any(c in text for c in "\v\f\x1c\x1d\x1e\x1f"):
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # a log with no rows
-                table = np.loadtxt(rows, comments=None, ndmin=2)
-        except ValueError:
-            pass
-    if table is not None and not len(table):
-        return []
-    ok = table is not None and table.shape[1] == N_COLUMNS
-    ok = ok and (np.abs(table) <= MAX_ABS_READING).all()  # also false for nan
-    if not (ok and np.all((table[:, 0] > 0) & (table[:, 0] % 1 == 0))):
+    table = _table(rows) if _plain_ascii(text) else None
+    if table is None:
         raise _row_error(rows)
+    return _engines(table, dataset_id)
 
-    table = table[np.lexsort((table[:, 1], table[:, 0]))]
+
+def read_cmapss_file(path, dataset_id: str = "FD001") -> list[EngineSeries]:
+    """Read a train/test log file into per-engine series, with the results and
+    errors ``parse_cmapss_file`` gives for the file's text read as UTF-8 with
+    universal newlines (undecodable bytes as surrogates).
+
+    A file of plain ASCII goes straight to numpy's chunked file reader, so no
+    whole-log string or row list is built; any file that check or the parse
+    rejects is parsed from its text, so the error names the same row.
+    """
+    with open(path, "rb") as fh:  # a missing file raises first, as reading its text would
+        chunks = iter(lambda: fh.read(1 << 20), b"")
+        plain = all(_plain_ascii(chunk.decode("latin-1")) for chunk in chunks)
+    _check_dataset_id(dataset_id)
+    # numpy opens a path str through np.lib._datasource, which takes "scheme://host/..." for a URL
+    table = _table(os.path.abspath(path)) if plain else None
+    if table is None:
+        text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
+        return parse_cmapss_file(text, dataset_id)
+    return _engines(table, dataset_id)
+
+
+def _plain_ascii(text: str) -> bool:
+    # numpy would also split fields on the ASCII whitespace other than space and tab
+    return text.isascii() and not any(c in text for c in "\v\f\x1c\x1d\x1e\x1f")
+
+
+def _table(source):
+    """The (rows, 26) table ``np.loadtxt`` reads from a path or a row list, or
+    None when a row is off the grammar, a value is not finite or beyond
+    MAX_ABS_READING in magnitude, or a unit id is not a positive integer."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a log with no rows
+            table = np.loadtxt(source, encoding="ascii", comments=None, ndmin=2)
+    except ValueError:  # also UnicodeDecodeError, if the file changed since its check
+        return None
+    if not len(table):
+        return table
+    if table.shape[1] != N_COLUMNS:
+        return None
+    units = table[:, 0]
+    # min/max instead of abs: no table-sized temporary; both are nan if any entry is
+    ok = -MAX_ABS_READING <= table.min() and table.max() <= MAX_ABS_READING
+    return table if ok and np.all((units > 0) & (units % 1 == 0)) else None
+
+
+def _engines(table: np.ndarray, dataset_id: str) -> list[EngineSeries]:
+    """Split a checked table into engines ordered by unit, each in cycle order;
+    IntegrityError names a unit whose cycles are not 1..k_max."""
+    if not len(table):
+        return []
+    step = np.diff(table[:, 0])
+    # C-MAPSS logs are already in (unit, cycle) order, and sorting would copy the table
+    if not np.all((step > 0) | ((step == 0) & (np.diff(table[:, 1]) > 0))):
+        table = table[np.lexsort((table[:, 1], table[:, 0]))]
     engines = []
     for block in np.split(table, np.flatnonzero(np.diff(table[:, 0])) + 1):
         unit = int(block[0, 0])
@@ -198,7 +249,7 @@ def apply_selection(series: EngineSeries, selection: SensorSelection) -> EngineS
         dataset_id=series.dataset_id,
         unit_id=series.unit_id,
         cycles=series.cycles,
-        op_settings=series.op_settings,
+        op_settings=series.op_settings.copy(),  # holds no view of the parsed table
         sensors=series.sensors[:, selection.column_indices],
     )
 

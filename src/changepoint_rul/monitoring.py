@@ -373,10 +373,10 @@ def compute_lambda(stats: StatisticSeries, cl_t2: float, cl_q: float) -> int:
 
 
 def _permanent_breach_start(values: np.ndarray, cl: float, start_cycle: int) -> int | None:
-    """First cycle from which the statistic stays at or above cl to the end."""
-    idx = len(values)
-    while idx > 0 and values[idx - 1] >= cl:
-        idx -= 1
+    """First cycle from which the statistic stays at or above cl to the end
+    (a nan ends the run)."""
+    below = np.flatnonzero(~(values >= cl))
+    idx = int(below[-1]) + 1 if len(below) else 0
     if idx == len(values):
         return None
     return start_cycle + idx

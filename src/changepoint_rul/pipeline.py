@@ -53,19 +53,18 @@ def _load_split(config: PipelineConfig, split: str):
     entries for the kept units; for ``"train"`` they are None, so detection
     needs only the train file.
     """
-    def read(path):  # undecodable bytes become surrogates, which the parsers reject
-        return Path(path).read_text(encoding="utf-8", errors="surrogateescape")
-
     path = (cmapss.train_file if split == "train" else cmapss.test_file)(
         config.data_dir, config.dataset_id
     )
-    engines = cmapss.parse_cmapss_file(read(path), config.dataset_id)
+    engines = cmapss.read_cmapss_file(path, config.dataset_id)
     kept = _sorted_subset(engines, config.subset)
     if split == "train":
         return kept, None
     if not kept:
         raise InsufficientDataError(f"{path} holds no engines")
-    rul_text = read(cmapss.rul_file(config.data_dir, config.dataset_id))
+    rul_path = Path(cmapss.rul_file(config.data_dir, config.dataset_id))
+    # undecodable bytes become surrogates, which the parser rejects
+    rul_text = rul_path.read_text(encoding="utf-8", errors="surrogateescape")
     targets = cmapss.load_rul_targets(rul_text, config.dataset_id, expected_count=len(engines))
     unit_ids = {s.unit_id for s in kept}
     return kept, [t for t in targets if t.unit_id in unit_ids]

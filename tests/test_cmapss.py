@@ -1,11 +1,18 @@
+import re
+import tracemalloc
+import urllib.request
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from changepoint_rul.cmapss import (
+    DATASETS,
     MAX_ABS_READING,
     apply_selection,
     load_rul_targets,
     parse_cmapss_file,
+    read_cmapss_file,
     select_sensors,
 )
 from changepoint_rul.errors import IntegrityError, ParseError, PipelineError
@@ -150,6 +157,16 @@ def test_apply_selection_channel_count_and_order():
     # every kept index is represented, in order
     assert selection.kept_indices == tuple(sorted(selection.kept_indices))
     assert selected.n_channels == selection.m
+
+
+def test_selected_engine_holds_no_view_of_the_parsed_table():
+    """So the 21-channel table is freed once the parsed engines are dropped."""
+    engine = parse_cmapss_file(row(1, 1) + "\n" + row(1, 2))[0]
+    selected = apply_selection(engine, select_sensors("FD001"))
+    for array in (selected.cycles, selected.op_settings, selected.sensors):
+        assert not np.shares_memory(array, engine.sensors)
+        assert not np.shares_memory(array, engine.op_settings)
+    assert selected.op_settings.tolist() == engine.op_settings.tolist()
 
 
 def test_rul_targets_parse_and_order():
@@ -297,3 +314,129 @@ if st is not None:
         except PipelineError:
             return
         assert [e.unit_id for e in engines] == list(reference_parse(text))
+
+
+def read_as_text(path, dataset_id="FD001"):
+    """What the file reader must match: the text parser over the file's text."""
+    text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
+    return parse_cmapss_file(text, dataset_id)
+
+
+def result(read, *args):
+    """Every engine as bytes, or the error's type and message."""
+    try:
+        engines = read(*args)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+    return [
+        (e.dataset_id, e.unit_id, e.cycles.dtype.str, e.cycles.tobytes(), e.op_settings.shape,
+         e.op_settings.tobytes(), e.sensors.shape, e.sensors.tobytes())
+        for e in engines
+    ]
+
+
+def test_file_reader_matches_text_parser_on_an_ordered_log(tmp_path):
+    path = tmp_path / "train_FD001.txt"
+    path.write_text("".join(row(u, c, u + c / 10) + "\n" for u in (1, 2, 5) for c in (1, 2, 3)))
+    engines = read_cmapss_file(path)
+    assert [e.unit_id for e in engines] == [1, 2, 5]
+    assert result(read_cmapss_file, path) == result(read_as_text, path)
+
+
+@pytest.mark.parametrize("dataset_id", ["FD001", "FD009"])
+@pytest.mark.parametrize("name", ["missing.txt", ""], ids=["missing", "directory"])
+def test_file_reader_raises_as_reading_the_text_does(tmp_path, name, dataset_id):
+    path = tmp_path / name
+    expected = result(read_as_text, path, dataset_id)
+    assert issubclass(expected[0], OSError)
+    assert result(read_cmapss_file, path, dataset_id) == expected
+
+
+def test_file_reader_takes_a_url_like_relative_path_as_a_file(tmp_path, monkeypatch):
+    """numpy opens a path str as a URL when it reads "scheme://host/...";
+    the reader hands it an absolute path, so no URL is ever opened."""
+
+    def no_urls(*args, **kwargs):
+        raise AssertionError("the log path was opened as a URL")
+
+    monkeypatch.setattr(urllib.request, "urlopen", no_urls)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "http:" / "localhost").mkdir(parents=True)
+    (tmp_path / "http:" / "localhost" / "log.txt").write_text(row(1, 1) + "\n" + row(1, 2) + "\n")
+    engines = read_cmapss_file("http://localhost/log.txt")
+    assert [e.k_max for e in engines] == [2]
+
+
+def test_file_reader_holds_no_text_of_the_log(tmp_path):
+    """The file goes to numpy's chunked reader: the read peaks at about the
+    parsed table, not at the table plus the log's text and its rows."""
+    rng = np.random.default_rng(0)
+    lines = []
+    for unit in range(1, 41):
+        for cycle in range(1, 201):
+            values = " ".join(f"{v:.4f}" for v in rng.normal(500.0, 50.0, 24))
+            lines.append(f"{unit} {cycle} {values} \n")
+    path = tmp_path / "train_FD001.txt"
+    path.write_text("".join(lines))
+    table_bytes = len(lines) * 26 * 8
+    tracemalloc.start()
+    try:
+        engines = read_cmapss_file(path)
+        file_peak = tracemalloc.get_traced_memory()[1]
+        del engines
+        tracemalloc.reset_peak()
+        read_as_text(path)
+        text_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text_peak > 2.5 * table_bytes  # the text, its rows and the table
+    assert file_peak < 1.5 * table_bytes
+
+
+if st is not None:
+    # Bytes the text reader treats in its own way: line ends it translates,
+    # a NUL, a BOM, undecodable UTF-8 and the whitespace the grammar refuses.
+    ODD_BYTES = [b"\r", b"\r\n", b"\n", b"\x00", b"\xef\xbb\xbf", b"\xff", b"\xc3(", b"\xc2\xa0",
+                 b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e", b"\x1f", b" ", b"\t", b"1", b"-"]
+
+    def sorted_rows(text, n_keys):
+        """The log's rows sorted by unit (n_keys 1, cycles left shuffled) or
+        by unit and cycle (n_keys 2, as C-MAPSS writes them)."""
+        lines = text.splitlines(keepends=True)
+        key = lambda line: [float(f) for f in line.split()[:n_keys]]  # noqa: E731
+        filled = sorted((line for line in lines if line.strip()), key=key)
+        return "".join(filled + [line for line in lines if not line.strip()])
+
+    def with_separator(args):
+        """The first space or tab, a field separator or padding, replaced."""
+        data, separator = args
+        return re.sub(rb"[ \t]", separator, data, count=1)
+
+    def spliced(args):
+        data, at, inserted = args
+        at %= len(data) + 1
+        return data[:at] + inserted + data[at:]
+
+    well_formed_bytes = st.tuples(well_formed_logs(), st.sampled_from([0, 1, 2])).map(
+        lambda t: (sorted_rows(*t) if t[1] else t[0]).encode()
+    )
+    log_files = st.one_of(
+        well_formed_bytes,
+        st.tuples(well_formed_bytes, st.sampled_from(ODD_BYTES[3:14])).map(with_separator),
+        well_formed_bytes.map(lambda b: b.replace(b"\r\n", b"\n").replace(b"\n", b"\r")),  # CR only
+        well_formed_bytes.map(lambda b: b"\xef\xbb\xbf" + b),
+        st.tuples(well_formed_bytes, st.integers(0, 10**6),
+                  st.lists(st.sampled_from(ODD_BYTES), min_size=1, max_size=3).map(b"".join)).map(spliced),
+        well_formed_bytes.map(lambda b: b + b.splitlines(keepends=True)[0]),  # a row twice
+        st.lists(st.sampled_from(ODD_BYTES), max_size=12).map(b"".join),
+        st.binary(max_size=200),
+        st.none(),  # no file
+    )
+
+    @given(log_files, st.sampled_from(DATASETS[:1] + DATASETS[3:] + ("FD009",)))
+    def test_file_reader_equals_text_parser_over_the_file_text(tmp_path_factory, data, dataset_id):
+        path = tmp_path_factory.mktemp("log") / "train_FD001.txt"
+        if data is not None:
+            path.write_bytes(data)
+        assert result(read_cmapss_file, path, dataset_id) == result(read_as_text, path, dataset_id)
+        assert result(read_cmapss_file, str(path), dataset_id) == result(read_as_text, path, dataset_id)

@@ -449,3 +449,28 @@ if st is not None:
             limits = kde_control_limit(stack, alpha)
         assert limits.tolist() == alone
         assert len(caught) - n_alone == n_alone == int(0 <= constant < len(stack))
+
+
+def looped_breach_start(values, cl, start_cycle):
+    """The scan as a plain walk back from the end of life: a nan ends the run."""
+    idx = len(values)
+    while idx > 0 and values[idx - 1] >= cl:
+        idx -= 1
+    if idx == len(values):
+        return None
+    return start_cycle + idx
+
+
+if st is not None:
+    statistic_values = st.lists(
+        st.sampled_from([0.0, 0.5, 1.0, 2.0, np.nan, np.inf]) | st.floats(allow_nan=True), max_size=60
+    )
+
+    @given(statistic_values, st.sampled_from([0.5, 1.0, np.inf, np.nan]), st.integers(1, 10))
+    def test_breach_start_equals_the_plain_loop(values, cl, start_cycle):
+        n = len(values)
+        for case in (values, [], [2.0] * n, [0.0] * n, values + [2.0, 2.0]):
+            series = np.array(case, dtype=float)
+            got = monitoring._permanent_breach_start(series, cl, start_cycle)
+            assert got == looped_breach_start(series, cl, start_cycle)
+            assert got is None or type(got) is int  # json.dump refuses numpy ints

@@ -176,6 +176,51 @@ class TestDetect:
         assert summary["n_fallback"] == summary["n_engines"]
         assert summary["n_detected"] == 0
 
+    def test_settings_too_short_for_a_limit_send_every_engine_to_fallback(
+        self, tmp_path, monkeypatch
+    ):
+        """A 20-cycle normal window leaves 17 in-sample statistics, fewer than
+        a control limit needs, so the fleet fit fails and every engine falls back."""
+        from changepoint_rul import pipeline
+        from changepoint_rul.errors import InsufficientDataError
+        from changepoint_rul.monitoring import KDE_MIN_SAMPLES
+        from changepoint_rul.streaming import load_monitors, run_monitor
+
+        write_corpus(tmp_path / "data", n_train=6, n_test=3, seed=3)
+        cfg = default_config(
+            "FD001", data_dir=str(tmp_path / "data"), out_dir=str(tmp_path / "out"), normal_window=20
+        )
+        assert cfg.normal_window - 2 * cfg.p + 1 < KDE_MIN_SAMPLES
+        raised = []
+
+        def fit(engines, config):
+            try:
+                return fit_device_monitors(engines, config)
+            except InsufficientDataError as exc:
+                raised.append((len(engines), str(exc)))
+                raise
+
+        fit_device_monitors = pipeline.fit_device_monitors
+        monkeypatch.setattr(pipeline, "fit_device_monitors", fit)
+        outcomes, summary = run_detect(cfg)
+        long_lived = sum(o.k_max >= cfg.min_lifespan for o in outcomes)
+        assert long_lived == 5 and [n for n, _ in raised] == [long_lived]
+        assert summary == {
+            "dataset": "FD001", "n_engines": 6, "n_detected": 0, "n_fallback": 6,
+            "n_flagged": 0, "min_lifespan": cfg.min_lifespan,
+        }
+        assert all(o.monitor is None and o.method == "fallback_cap" for o in outcomes)
+        monitors_dir = str(tmp_path / "out" / "monitors")
+        with np.load(os.path.join(monitors_dir, "monitors.npz")) as store:
+            assert all(store[name].shape[0] == 0 for name in store.files)
+        monitors, manifest = load_monitors(monitors_dir)
+        assert monitors == {} and manifest["units"] == []
+        out = io.StringIO()
+        record = json.dumps({"unit": 1, "cycle": 1, "sensors": [1.0] * 14})
+        assert run_monitor(monitors_dir, [record], out) == 1
+        event = json.loads(out.getvalue())
+        assert (event["type"], event["reason"]) == ("rejected", "unknown unit 1")
+
     def test_rerun_byte_identical(self, corpus, tmp_path):
         data_dir, _ = corpus
         outputs = []
@@ -388,6 +433,22 @@ class TestCli:
         assert "detected" in out
         assert "RMSE" in out
 
+    def test_detect_traces_flag_writes_every_fitted_engine(self, corpus, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        assert main(["detect", "--data-dir", corpus[0], "--out-dir", str(out_dir), "--traces"]) == 0
+        manifest = json.loads((out_dir / "monitors" / "manifest.json").read_text())
+        assert manifest["units"]
+        written = sorted(os.listdir(out_dir / "traces"))
+        assert written == [f"unit_{unit:04d}.csv" for unit in manifest["units"]]
+
+    def test_train_epochs_flag_overrides_the_config(self, corpus, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(SMALL_NET, data_dir=corpus[0], out_dir=str(out_dir), subset=4)))
+        assert main(["train", "--config", str(cfg_path), "--epochs", "1"]) == 0
+        history = json.loads((out_dir / "history.json").read_text())
+        assert len(history["epoch_mse"]) == 1 and history["config"]["epochs"] == 1
+
     def test_config_error_exit_code(self, capsys):
         assert main(["detect", "--dataset", "FD009"]) == 1
 
@@ -443,6 +504,16 @@ class TestCli:
         stream_path = tmp_path / "stream.jsonl"
         stream_path.write_text(json.dumps(record) + "\n")
         return os.path.join(detect_cfg.out_dir, "monitors"), str(stream_path)
+
+    def test_blank_monitor_input_lines_yield_no_events(self, one_record, tmp_path, capsys):
+        monitors_dir, stream_path = one_record
+        argv = ["monitor", "--monitors", monitors_dir, "--input"]
+        assert main(argv + [stream_path]) == 0
+        alone = capsys.readouterr().out
+        padded = tmp_path / "padded.jsonl"
+        padded.write_text("\n  \n\t\n" + open(stream_path).read() + "\n \r\n")
+        assert main(argv + [str(padded)]) == 0
+        assert capsys.readouterr().out == alone and len(alone.splitlines()) == 1
 
     @pytest.mark.parametrize(
         "kept,match",
