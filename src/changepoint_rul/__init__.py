@@ -72,11 +72,9 @@ from .monitoring import (
     compute_lambda,
     compute_statistics,
     detect_change_point,
-    fit_device_monitor,
     fit_device_monitors,
     kde_control_limit,
     statistic_trace,
-    validate_normal_window,
 )
 from .pipeline import run_detect, run_evaluate, run_sweep, run_train
 from .streaming import StreamMonitor, run_monitor

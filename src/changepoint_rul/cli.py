@@ -109,15 +109,14 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
+        config = _build_config(args)
         if args.command == "detect":
-            config = _build_config(args)
             _, summary = run_detect(config)
             print(
                 f"{summary['dataset']}: {summary['n_detected']} detected, "
                 f"{summary['n_fallback']} fallback of {summary['n_engines']} engines"
             )
         elif args.command == "train":
-            config = _build_config(args)
             _, history, meta = run_train(config)
             final = f"{history[-1]:.3f}" if history else "n/a"
             print(
@@ -125,10 +124,8 @@ def main(argv=None) -> int:
                 f"artifacts in {config.out_dir}"
             )
         elif args.command == "evaluate":
-            config = _build_config(args)
             run_evaluate(config, checkpoint_path=args.checkpoint)
         elif args.command == "monitor":
-            config = _build_config(args)
             # as on stdin, undecodable bytes reach process_line as surrogates
             source = nullcontext(sys.stdin) if args.input == "-" else open(
                 args.input, encoding="utf-8", errors="surrogateescape"
@@ -143,7 +140,6 @@ def main(argv=None) -> int:
                 )
             log.info("emitted %d events", n)
         elif args.command == "sweep":
-            config = _build_config(args)
             rows = run_sweep(config, _candidates(args.candidates))
             for row in rows:
                 if row["applicable"]:

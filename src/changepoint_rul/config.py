@@ -96,6 +96,12 @@ class PipelineConfig:
         self.train_config().validate()  # before detect writes anything
         return self
 
+    @property
+    def first_monitored_cycle(self) -> int:
+        """tau: the first cycle scanned for a change point, after the normal
+        and validation windows and the p cycles that seed the lags."""
+        return self.normal_window + self.validation_window + self.p
+
     def train_config(self) -> TrainConfig:
         """The training settings in the form ``lstm.train`` takes."""
         return TrainConfig(

@@ -56,7 +56,7 @@ class WindowView:
 
     Window i covers ``rows[starts[i] : starts[i] + length]``. Indexing by an
     int, a slice or an int array returns a fresh ndarray, (L, m) or (k, L, m),
-    equal to ``np.stack`` of those slices; ``np.asarray`` gives the whole
+    equal to ``np.stack`` of those slices, so ``view[:]`` is the whole
     (n, L, m) tensor. ``nbytes`` is that tensor's size, which is never held.
     """
 
@@ -78,11 +78,6 @@ class WindowView:
 
     def __getitem__(self, idx) -> np.ndarray:
         return self.rows[np.add.outer(self.starts[idx], np.arange(self.length))]
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        if copy is False:
-            raise ValueError("gathered windows cannot be returned without a copy")
-        return self[:] if dtype is None else self[:].astype(dtype, copy=False)
 
 
 @dataclass(frozen=True)

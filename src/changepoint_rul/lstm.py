@@ -210,7 +210,7 @@ def _forward_batch(model: LstmRegressor, x: np.ndarray, training: bool, rng, kee
                 keep = 1.0 - ratio
                 # drawn as (B, L, d), so the rng stream does not depend on the layout
                 mask = rng.random((batch, steps, current.shape[1])) < keep
-                mask = mask.transpose(1, 2, 0).astype(dtype, order="C")
+                mask = np.ascontiguousarray(mask.transpose(1, 2, 0)).astype(dtype)
                 mask /= keep
                 current = current * mask
         h = layer.hidden_size

@@ -2,13 +2,14 @@
 
 Per device: a canonical-variate model is fit on an initial normal-operation
 window, control limits for the two monitoring statistics are estimated by
-kernel density estimation at a one-sided confidence level, the following
-validation window is checked against those limits, and the remaining cycles
-are scanned for the first cycle whose statistic stays above its limit
-through end of life. A fleet is fitted in stacked arrays: one standardizer,
-lag embedding and CVA solve over all the normal windows, and one lockstep
-bisection for every control limit; each device keeps its own results, the
-same bits it would get when fitted alone.
+kernel density estimation at a one-sided confidence level, and the cycles
+after the following validation window are scanned for the first cycle whose
+statistic stays above its limit through end of life. The validation window
+itself is not yet checked against the limits (paper step 2; ROADMAP item 1).
+A fleet is fitted in stacked arrays: one standardizer, lag embedding and CVA
+solve over all the normal windows, and one lockstep bisection for every
+control limit; each device keeps its own results, the same bits it would get
+when fitted alone.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import ndtr
 
-from .cmapss import EngineSeries, check_kept_indices
+from .cmapss import check_kept_indices
 from .config import PipelineConfig
 from .cva import (
     STD_FLOOR,
@@ -53,9 +54,6 @@ class StatisticSeries:
     def __post_init__(self):
         if len(self.t2) != len(self.q):
             raise ValueError("t2 and q must have equal lengths")
-
-    def __len__(self) -> int:
-        return len(self.t2)
 
     @property
     def end_cycle(self) -> int:
@@ -98,21 +96,20 @@ def kde_cdf(samples: np.ndarray, bandwidth: np.ndarray, x: np.ndarray) -> np.nda
     return ndtr((x[:, None] - samples) / bandwidth[:, None]).mean(axis=1)
 
 
-def kde_control_limit(samples, alpha: float):
-    """Upper control limit: the alpha-quantile of a Gaussian-kernel KDE.
+def kde_control_limit(samples, alpha: float) -> np.ndarray:
+    """Upper control limits: the alpha-quantile of a Gaussian-kernel KDE of
+    each row of a (k, n) stack.
 
-    ``samples`` is 1-D, giving a float, or a (k, n) stack, giving one limit
-    per row. Each row is solved by bisection of CDF(x) = alpha on
+    Each row is solved by bisection of CDF(x) = alpha on
     [min sample, max sample + 5h]; the rows step in lockstep, each stopping
     at its own width test, so a row's limit is the one it gets alone. The
     CDF at the minimum is at most 1/2 < alpha, so the root is never the
     minimum itself. Degenerate all-equal rows get the common value plus a
     small floor term, with one warning each.
     """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim not in (1, 2):
-        raise ShapeError(f"expected 1-D samples or a (k, n) stack, got shape {samples.shape}")
-    rows = np.atleast_2d(samples)
+    rows = np.asarray(samples, dtype=float)
+    if rows.ndim != 2:
+        raise ShapeError(f"expected a (k, n) stack of samples, got shape {rows.shape}")
     if rows.shape[1] < KDE_MIN_SAMPLES:
         raise InsufficientDataError(
             f"control limit estimation needs >= {KDE_MIN_SAMPLES} samples, got {rows.shape[1]}"
@@ -142,8 +139,7 @@ def kde_control_limit(samples, alpha: float):
         hi = np.where(active & ~below, mid, hi)
         active = open_rows()
     common = rows[:, 0]
-    limits = np.where(degenerate, common + 1e-6 * np.maximum(1.0, np.abs(common)), 0.5 * (lo + hi))
-    return limits if samples.ndim == 2 else float(limits[0])
+    return np.where(degenerate, common + 1e-6 * np.maximum(1.0, np.abs(common)), 0.5 * (lo + hi))
 
 
 @dataclass(frozen=True)
@@ -329,37 +325,6 @@ class DeviceOutcome:
         }
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Breach fractions of the validation window against the control limits."""
-
-    unit_id: int
-    n_cycles: int
-    t2_breach_fraction: float
-    q_breach_fraction: float
-    threshold: float
-    flagged: bool
-
-
-def validate_normal_window(
-    model: MonitorModel,
-    validation_stats: StatisticSeries,
-    breach_threshold: float = 0.2,
-    unit_id: int = 0,
-) -> ValidationReport:
-    """Check that validation-window statistics stay mostly below the limits."""
-    t2_breach = float(np.mean(validation_stats.t2 >= model.cl_t2))
-    q_breach = float(np.mean(validation_stats.q >= model.cl_q))
-    return ValidationReport(
-        unit_id=unit_id,
-        n_cycles=len(validation_stats),
-        t2_breach_fraction=t2_breach,
-        q_breach_fraction=q_breach,
-        threshold=breach_threshold,
-        flagged=max(t2_breach, q_breach) > breach_threshold,
-    )
-
-
 def _longest_run(mask: np.ndarray) -> int:
     """Length of the longest all-true run: the changes of the False-padded mask
     alternate run starts and run ends."""
@@ -442,7 +407,7 @@ def fit_device_monitors(engines, config: PipelineConfig) -> list[DeviceOutcome]:
     """Fit a monitor on each device of a fleet and locate its change point.
 
     The series must already be sensor-selected, each with the same channels
-    and more than normal_window + validation_window + p cycles. The fleet is
+    and more than config.first_monitored_cycle cycles. The fleet is
     fitted in stacked arrays: standardizers and CVA on the (n, m,
     normal_window) stack of normal windows, then both control limits of every
     device in one lockstep bisection. Each device's whole life is projected
@@ -455,7 +420,7 @@ def fit_device_monitors(engines, config: PipelineConfig) -> list[DeviceOutcome]:
     Returns each device's DeviceOutcome, monitor included, in fleet order.
     """
     p, nw = config.p, config.normal_window
-    tau = nw + config.validation_window + p
+    tau = config.first_monitored_cycle
     for series in engines:
         if series.k_max <= tau:
             raise InsufficientDataError(
@@ -504,9 +469,3 @@ def fit_device_monitors(engines, config: PipelineConfig) -> list[DeviceOutcome]:
             )
         )
     return outcomes
-
-
-def fit_device_monitor(series: EngineSeries, config: PipelineConfig) -> DeviceOutcome:
-    """Fit one device's monitor and locate its change point: the fleet fit of
-    a fleet of one."""
-    return fit_device_monitors([series], config)[0]

@@ -100,7 +100,7 @@ def run_detect(config: PipelineConfig, engines=None, write: bool = True):
     # the fixed-cap fallback; the rest are fitted as one fleet. Too few
     # normal-window columns for a control limit comes from the settings, so
     # then every engine falls back.
-    tau = config.normal_window + config.validation_window + config.p
+    tau = config.first_monitored_cycle
     outcomes = [DeviceOutcome(unit_id=s.unit_id, k_max=s.k_max) for s in selected]
     fit = [i for i, s in enumerate(selected) if s.k_max >= config.min_lifespan and s.k_max > tau]
     try:
@@ -238,8 +238,12 @@ def run_train(config: PipelineConfig, engines=None, outcomes=None, write: bool =
 
 def read_checkpoint(path):
     """Load (model, kept sensor indices, pooled standardizer) from a train
-    checkpoint, with one distinct sensor index in 1..21 per model input."""
+    checkpoint, with one distinct sensor index in 1..21 per model input and
+    a positive int window length."""
     model, meta = load_checkpoint(path)
+    length = model.sequence_length
+    if type(length) is not int or length < 1:
+        raise IntegrityError(f"checkpoint {path} holds no usable window length: {length!r}")
     kept = cmapss.check_kept_indices(meta.get("kept_indices"), f"checkpoint {path}")
     try:
         pooled = Standardizer(
@@ -292,7 +296,7 @@ def run_sweep(config: PipelineConfig, candidates, write: bool = True):
     if not candidates:
         raise ConfigError("sweep needs at least one candidate minimum lifespan")
     rows = []
-    min_monitorable = config.normal_window + config.validation_window + config.p + 1
+    min_monitorable = config.first_monitored_cycle + 1
     for candidate in candidates:
         sub_dir = os.path.join(config.out_dir, f"sweep_{candidate}")
         sub_cfg = replace(config, min_lifespan=int(candidate), out_dir=sub_dir)

@@ -29,7 +29,7 @@ from changepoint_rul.monitoring import (
     StatisticSeries,
     compute_lambda,
     detect_change_point,
-    fit_device_monitor,
+    fit_device_monitors,
     kde_control_limit,
 )
 from changepoint_rul.pipeline import run_detect, run_evaluate, run_sweep, run_train
@@ -98,7 +98,7 @@ def test_canonical_correlation_bounds():
 def test_kde_control_limit_against_normal_quantile():
     rng = np.random.default_rng(31337)
     train = rng.normal(size=100_000)
-    cl = kde_control_limit(train, 0.99)
+    cl = kde_control_limit(train[None], 0.99)[0]
     target = norm.ppf(0.99)
     held_out = rng.normal(size=100_000)
     coverage = float(np.mean(held_out < cl))
@@ -188,14 +188,14 @@ def test_synthetic_corpus_detection():
         k_max = 215 + 6 * i
         injected = k_max - (55 + 3 * i)
         series = make_engine_series(i + 1, k_max, injected, seed=1000 + i, n_channels=5)
-        result = fit_device_monitor(series, cfg)
+        result = fit_device_monitors([series], cfg)[0]
         monitor = result.monitor
         if result.k_cp is not None and abs(result.k_cp - injected) <= monitor.persistence + 5:
             within += 1
     false_detections = 0
     for i in range(10):
         series = make_engine_series(i + 1, 250 + 7 * i, None, seed=20 + i, n_channels=5)
-        result = fit_device_monitor(series, cfg)
+        result = fit_device_monitors([series], cfg)[0]
         if result.k_cp is not None:
             false_detections += 1
     ok = within >= 27 and false_detections == 0

@@ -33,6 +33,13 @@ def test_per_dataset_tuned_values():
         assert (cfg.min_lifespan, cfg.fallback_cap) == (200, 130)
 
 
+@pytest.mark.parametrize("windows", [{}, dict(p=3, normal_window=40, validation_window=7)])
+def test_first_monitored_cycle_follows_both_windows_and_the_lags(windows):
+    cfg = default_config("FD001", **windows)
+    assert cfg.first_monitored_cycle == cfg.normal_window + cfg.validation_window + cfg.p
+    assert "first_monitored_cycle" not in cfg.to_dict()  # derived, so no config key
+
+
 def test_overrides():
     cfg = default_config("FD001", epochs=2, subset=10)
     assert cfg.epochs == 2

@@ -169,7 +169,7 @@ class TestTrainingWindows:
         assert units.count(exact) == 1 and short not in units
 
         # each window equals its own engine's slice, so none spans two engines
-        np.testing.assert_array_equal(np.asarray(ds.windows), dense)
+        np.testing.assert_array_equal(ds.windows[:], dense)
         for i in (0, len(ds) // 2, len(ds) - 1, -1):
             np.testing.assert_array_equal(ds.windows[i], dense[i])
         for part in (slice(None), slice(3, 40), slice(None, None, -7)):

@@ -9,16 +9,15 @@ from scipy.stats import norm, spearmanr
 from changepoint_rul import monitoring
 from changepoint_rul.config import PipelineConfig
 from changepoint_rul.cva import fit_standardizer
-from changepoint_rul.errors import ConfigError, InsufficientDataError
+from changepoint_rul.errors import ConfigError, InsufficientDataError, ShapeError
 from changepoint_rul.monitoring import (
     StatisticSeries,
     compute_lambda,
     compute_statistics,
     detect_change_point,
-    fit_device_monitor,
+    fit_device_monitors,
     kde_control_limit,
     statistic_trace,
-    validate_normal_window,
 )
 
 from synthetic import make_engine_series
@@ -72,33 +71,43 @@ class TestComputeStatistics:
         np.testing.assert_allclose(stats.q, q_norm, atol=1e-12)
 
 
+def kde_limit(samples, alpha):
+    """The control limit of one sample, as the one-row stack gives it."""
+    return kde_control_limit(np.asarray(samples)[None], alpha)[0]
+
+
 class TestKdeControlLimit:
     def test_standard_normal_quantile(self):
         rng = np.random.default_rng(123)
         samples = rng.normal(size=100_000)
-        cl = kde_control_limit(samples, 0.99)
+        cl = kde_limit(samples, 0.99)
         assert cl == pytest.approx(norm.ppf(0.99), abs=0.05)
 
     def test_degenerate_samples(self):
         with pytest.warns(UserWarning, match="degenerate"):
-            cl = kde_control_limit(np.full(50, 5.0), 0.99)
+            cl = kde_limit(np.full(50, 5.0), 0.99)
         assert cl > 5.0
         assert cl == pytest.approx(5.0, abs=1e-3)
 
     def test_monotone_in_alpha(self):
         samples = np.random.default_rng(7).gamma(shape=3.0, size=500)
-        assert kde_control_limit(samples, 0.95) < kde_control_limit(samples, 0.99)
+        assert kde_limit(samples, 0.95) < kde_limit(samples, 0.99)
 
     def test_too_few_samples(self):
         with pytest.raises(InsufficientDataError):
-            kde_control_limit(np.arange(10.0), 0.99)
+            kde_limit(np.arange(10.0), 0.99)
 
     def test_alpha_range(self):
         samples = np.arange(100.0)
         with pytest.raises(ConfigError):
-            kde_control_limit(samples, 0.4)
+            kde_limit(samples, 0.4)
         with pytest.raises(ConfigError):
-            kde_control_limit(samples, 1.0)
+            kde_limit(samples, 1.0)
+
+    @pytest.mark.parametrize("shape", [(100,), (2, 3, 40)])
+    def test_only_a_stack_of_rows_is_accepted(self, shape):
+        with pytest.raises(ShapeError, match="stack"):
+            kde_control_limit(np.ones(shape), 0.99)
 
     def test_rows_of_a_stack_stop_on_their_own_width(self, monkeypatch):
         base = np.random.default_rng(8).gamma(shape=2.0, size=60)
@@ -109,7 +118,7 @@ class TestKdeControlLimit:
         alone = []
         for row in stack:
             calls.clear()
-            alone.append((kde_control_limit(row, 0.99), len(calls)))
+            alone.append((kde_limit(row, 0.99), len(calls)))
         assert len({n for _, n in alone}) == len(stack)  # each row bisects a different number of times
         assert kde_control_limit(stack, 0.99).tolist() == [limit for limit, _ in alone]
 
@@ -205,45 +214,13 @@ class TestDetectChangePoint:
             detect_change_point(stats, 1.0, 1.0, k_max=9)
 
 
-class TestValidateNormalWindow:
-    def test_all_below_passes(self):
-        series = make_engine_series(1, 260, None, seed=20, n_channels=5)
-        cfg = PipelineConfig(r=5)
-        monitor = fit_device_monitor(series, cfg).monitor
-        stats = StatisticSeries(t2=np.zeros(20), q=np.zeros(20), start_cycle=61)
-        report = validate_normal_window(monitor, stats)
-        assert report.t2_breach_fraction == 0.0
-        assert not report.flagged
-
-    def test_injected_validation_drift_flags(self):
-        series = make_engine_series(1, 260, None, seed=21, n_channels=5)
-        cfg = PipelineConfig(r=5)
-        monitor = fit_device_monitor(series, cfg).monitor
-        sensors = series.sensors.copy()
-        sensors[60:80] += 8.0  # drift through the whole validation window
-        stats = statistic_trace(monitor, sensors).slice_cycles(61, 80)
-        report = validate_normal_window(monitor, stats)
-        assert report.flagged
-
-    def test_normal_validation_mostly_below(self):
-        flags = []
-        for seed in range(8):
-            series = make_engine_series(1, 250, None, seed=30 + seed, n_channels=5)
-            cfg = PipelineConfig(r=5)
-            monitor = fit_device_monitor(series, cfg).monitor
-            stats = statistic_trace(monitor, series.sensors).slice_cycles(61, 80)
-            report = validate_normal_window(monitor, stats, cfg.breach_fraction_threshold)
-            flags.append(report.flagged)
-        assert sum(flags) <= 2  # occasional flags allowed, most devices clean
-
-
 class TestFitDeviceMonitor:
     def test_short_engine_signals_fallback(self):
         from changepoint_rul.pipeline import run_detect
 
         series = make_engine_series(9, 150, None, seed=1, n_channels=5)
         cfg = PipelineConfig(r=5, min_lifespan=200)
-        monitor = fit_device_monitor(series, cfg).monitor  # long enough to monitor
+        monitor = fit_device_monitors([series], cfg)[0].monitor  # long enough to monitor
         assert monitor.persistence >= 0
         [outcome], _ = run_detect(cfg, engines=[series], write=False)  # but short of min_lifespan
         assert outcome.method == "fallback_cap"
@@ -251,13 +228,13 @@ class TestFitDeviceMonitor:
 
     def test_stationary_engine_detects_nothing(self):
         series = make_engine_series(2, 250, None, seed=20, n_channels=5)
-        result = fit_device_monitor(series, PipelineConfig(r=5))
+        result = fit_device_monitors([series], PipelineConfig(r=5))[0]
         assert result.k_cp is None
         assert result.method == "fallback_cap"
 
     def test_injected_change_point_found(self):
         series = make_engine_series(3, 320, 240, seed=4, n_channels=5)
-        result = fit_device_monitor(series, PipelineConfig(r=5))
+        result = fit_device_monitors([series], PipelineConfig(r=5))[0]
         monitor = result.monitor
         assert result.method == "detected"
         assert abs(result.k_cp - 240) <= monitor.persistence + 5
@@ -265,7 +242,7 @@ class TestFitDeviceMonitor:
     def test_training_statistics_mostly_below_limits(self):
         series = make_engine_series(4, 260, None, seed=22, n_channels=5)
         cfg = PipelineConfig(r=5)
-        monitor = fit_device_monitor(series, cfg).monitor
+        monitor = fit_device_monitors([series], cfg)[0].monitor
         stats = statistic_trace(monitor, series.sensors).slice_cycles(3, 60)
         frac_t2 = np.mean(stats.t2 < monitor.cl_t2)
         frac_q = np.mean(stats.q < monitor.cl_q)
@@ -288,16 +265,16 @@ class TestFitDeviceMonitor:
         # in its last bit when the normal window's columns are projected alone.
         series = make_engine_series(7, 320, k_cp, seed=seed, n_channels=n_channels)
         cfg = PipelineConfig(r=r)
-        monitor = fit_device_monitor(series, cfg).monitor
+        monitor = fit_device_monitors([series], cfg)[0].monitor
         stats = statistic_trace(monitor, series.sensors)
         in_sample = stats.slice_cycles(cfg.p + 1, cfg.normal_window - cfg.p + 1)
-        assert monitor.cl_t2 == kde_control_limit(in_sample.t2, cfg.alpha)
-        assert monitor.cl_q == kde_control_limit(in_sample.q, cfg.alpha)
+        assert monitor.cl_t2 == kde_limit(in_sample.t2, cfg.alpha)
+        assert monitor.cl_q == kde_limit(in_sample.q, cfg.alpha)
 
     def test_persistence_covers_pre_change_runs(self):
         series = make_engine_series(5, 300, 230, seed=6, n_channels=5)
         cfg = PipelineConfig(r=5)
-        result = fit_device_monitor(series, cfg)
+        result = fit_device_monitors([series], cfg)[0]
         monitor = result.monitor
         stats = statistic_trace(monitor, series.sensors)
         pre = stats.slice_cycles(3, result.k_cp - 1)
@@ -308,7 +285,7 @@ class TestFitDeviceMonitor:
 
         series = make_engine_series(6, 260, 210, seed=8, n_channels=5)
         cfg = PipelineConfig(r=5)
-        monitor = fit_device_monitor(series, cfg).monitor
+        monitor = fit_device_monitors([series], cfg)[0].monitor
         save_monitors(str(tmp_path), cfg, range(1, 6), {6: monitor})
         clones, manifest = load_monitors(str(tmp_path))
         assert list(clones) == manifest["units"] == [6]
@@ -327,7 +304,7 @@ class TestFitDeviceMonitor:
             k_max = 215 + 11 * i
             k_cp = k_max - (50 + 2 * i)
             series = make_engine_series(i, k_max, k_cp, seed=60 + i, n_channels=5)
-            result = fit_device_monitor(series, PipelineConfig(r=5))
+            result = fit_device_monitors([series], PipelineConfig(r=5))[0]
             if result.k_cp is not None:
                 lifespans.append(k_max)
                 points.append(result.k_cp)
@@ -444,7 +421,7 @@ if st is not None:
             stack[constant] = np.round(stack[constant, 0])  # summed exactly: zero spread
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            alone = [kde_control_limit(row, alpha) for row in stack]
+            alone = [kde_limit(row, alpha) for row in stack]
             n_alone = len(caught)
             limits = kde_control_limit(stack, alpha)
         assert limits.tolist() == alone

@@ -369,9 +369,11 @@ class TestSweep:
         cfg = default_config(
             "FD001", data_dir=data_dir, out_dir=str(tmp_path / "sweep"), seed=1, **SMALL_NET
         )
-        rows = run_sweep(cfg, [60, 1000, 200])
+        rows = run_sweep(cfg, [60, 1000, 200, cfg.first_monitored_cycle])
         by_cand = {r["min_lifespan"]: r for r in rows}
         assert not by_cand[60]["applicable"]  # below first monitorable lifespan
+        first = cfg.first_monitored_cycle + 1
+        assert by_cand[first - 1]["reason"] == f"candidate below first monitorable lifespan {first}"
         uniform = by_cand[1000]  # above every lifespan: all engines on the fallback cap
         assert uniform["applicable"] and uniform["n_detected"] == 0
         assert uniform["n_fallback"] == 12 and np.isfinite([uniform["rmse"], uniform["sf"]]).all()
@@ -663,6 +665,27 @@ class TestCli:
         assert main(["monitor", "--monitors", str(copy), "--input", stream_path]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"error: {copy / name} ")
+
+    @pytest.mark.parametrize("length", [None, 0, "50"], ids=["none", "zero", "text"])
+    def test_checkpoint_without_a_window_length_exits_2(
+        self, trained_run, one_record, tmp_path, capsys, length
+    ):
+        """A checkpoint of init_regressor's default window length is refused
+        by evaluate and monitor before they read a record."""
+        from changepoint_rul.lstm import load_checkpoint, save_checkpoint
+
+        cfg, model, _, meta = trained_run
+        path = str(tmp_path / "no_length.npz")
+        save_checkpoint(replace(model, sequence_length=length), path, meta=meta)
+        assert load_checkpoint(path)[0].sequence_length == length  # loads for library use
+        monitors_dir, stream_path = one_record
+        argv = ["evaluate", "--data-dir", cfg.data_dir, "--out-dir", str(tmp_path)]
+        assert main(argv + ["--checkpoint", path]) == 2
+        argv = ["monitor", "--monitors", monitors_dir, "--input", stream_path]
+        assert main(argv + ["--checkpoint", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count(f"no usable window length: {length!r}") == 2
+        assert not (tmp_path / "evaluation.json").exists()
 
     @pytest.mark.parametrize(
         "corrupt",

@@ -11,7 +11,7 @@ from changepoint_rul.config import PipelineConfig
 from changepoint_rul.cva import Standardizer
 from changepoint_rul.errors import PipelineError
 from changepoint_rul.lstm import init_regressor
-from changepoint_rul.monitoring import fit_device_monitor
+from changepoint_rul.monitoring import fit_device_monitors
 from changepoint_rul.streaming import StreamMonitor
 
 from synthetic import make_engine_series
@@ -21,7 +21,7 @@ st = pytest.importorskip("hypothesis.strategies")
 
 M = 5
 SERIES = make_engine_series(1, 200, None, seed=21, n_channels=M)
-MONITOR = fit_device_monitor(SERIES, PipelineConfig(r=M)).monitor
+MONITOR = fit_device_monitors([SERIES], PipelineConfig(r=M))[0].monitor
 # Unit 2 declares its change point on the first breach, so RUL estimates follow.
 MONITORS = {1: MONITOR, 2: replace(MONITOR, persistence=0)}
 REGRESSOR = init_regressor(M, (4,), (), sequence_length=6)

@@ -225,10 +225,10 @@ class TestRecordValidation:
 
 class TestInjectedShift:
     def test_event_within_persistence_window_of_shift(self):
-        from changepoint_rul.monitoring import fit_device_monitor
+        from changepoint_rul.monitoring import fit_device_monitors
 
         series = make_engine_series(1, 260, None, seed=21, n_channels=5)
-        result = fit_device_monitor(series, PipelineConfig(r=5))
+        result = fit_device_monitors([series], PipelineConfig(r=5))[0]
         monitor = result.monitor
         assert result.k_cp is None
 
