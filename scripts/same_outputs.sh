@@ -11,10 +11,13 @@
 # trained checkpoint and once without one. Every artifact and each command's
 # stdout are compared with diff -r; both sides use the same data_dir and a
 # relative out_dir, so history.json compares whole. stderr is kept beside each tree but not
-# compared, since a warning names the source line that raised it.
+# compared, since a warning names the source line that raised it. Then every
+# *.json file of the working tree's outputs must parse as strict JSON: no NaN,
+# Infinity or -Infinity.
 #
-# Exits 0 when the trees are identical, 1 when they differ, 2 on a usage
-# error or a failed command. Needs git, python3 with numpy and scipy, and bash.
+# Exits 0 when the trees are identical and strict, 1 when they differ or a JSON
+# file is not strict, 2 on a usage error or a failed command. Needs git, python3
+# with numpy and scipy, and bash.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -90,3 +93,22 @@ else
     echo "outputs differ between $ref and the working tree" >&2
     exit 1
 fi
+
+python3 - "$work/change/tree" <<'EOF' || exit 1
+import json
+import pathlib
+import sys
+
+
+def refuse(constant):
+    raise ValueError(f"non-finite constant {constant}")
+
+
+paths = sorted(pathlib.Path(sys.argv[1]).rglob("*.json"))
+for path in paths:
+    try:
+        json.loads(path.read_text(), parse_constant=refuse)
+    except ValueError as exc:
+        sys.exit(f"not strict JSON: {path}: {exc}")
+print(f"strict JSON: {len(paths)} files")
+EOF

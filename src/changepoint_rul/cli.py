@@ -152,6 +152,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: missing input file: {exc}", file=sys.stderr)
         return DataError.exit_code
+    except OSError as exc:  # a directory where a file belongs, or the reverse
+        print(f"error: {exc}", file=sys.stderr)
+        return DataError.exit_code
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

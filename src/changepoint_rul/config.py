@@ -87,6 +87,9 @@ class PipelineConfig:
             raise ConfigError("normal window too short for the lag embedding")
         if self.validation_window < 1 or self.min_lifespan < 1 or self.fallback_cap < 1:
             raise ConfigError("window, lifespan, and cap settings must be positive")
+        if not 0.0 < self.breach_fraction_threshold <= 1.0:  # a NaN fails too
+            threshold = self.breach_fraction_threshold
+            raise ConfigError(f"breach fraction threshold must lie in (0, 1], got {threshold}")
         if self.r < 1:
             raise ConfigError(f"retained variate count must be >= 1, got {self.r}")
         if self.seed < 0:

@@ -368,14 +368,14 @@ class TrainConfig:
     def validate(self):
         if self.sequence_length < 1:
             raise ConfigError("sequence length must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning rate must be positive")
+        if not 0.0 < self.learning_rate < np.inf:  # a NaN fails too
+            raise ConfigError(f"learning rate must be positive and finite, got {self.learning_rate}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError("epochs must be >= 0 and batch size >= 1")
         if self.optimizer != "rmsprop":
             raise ConfigError(f"unknown optimizer {self.optimizer!r}; only 'rmsprop' is supported")
-        if self.grad_clip is not None and self.grad_clip <= 0:
-            raise ConfigError("gradient clip norm must be positive when set")
+        if self.grad_clip is not None and not 0.0 < self.grad_clip < np.inf:
+            raise ConfigError(f"gradient clip norm must be positive and finite, got {self.grad_clip}")
         _check_architecture(tuple(self.hidden_sizes), tuple(self.dropout_ratios))
 
 

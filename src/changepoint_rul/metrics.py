@@ -7,8 +7,6 @@ Both the true and estimated RUL of test engines are capped before scoring.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -19,6 +17,9 @@ from .errors import IntegrityError
 # Asymmetry constants of the benchmark score term exp(d/scale) - 1.
 SF_UNDER_SCALE = 13.0  # d < 0: estimate below truth (early warning)
 SF_OVER_SCALE = 10.0  # d >= 0: estimate above truth (late warning)
+
+# The per-engine columns of the evaluation report.
+EVAL_COLUMNS = ("unit", "true_rul", "predicted_rul", "d")
 
 
 def rmse(preds, truths) -> float:
@@ -71,33 +72,18 @@ class EvalReport:
     def n(self) -> int:
         return len(self.per_engine)
 
+    def rows(self) -> list:
+        """One list per engine, its values in EVAL_COLUMNS order."""
+        return [[row.unit_id, row.true_rul, row.predicted_rul, row.d] for row in self.per_engine]
+
     def to_dict(self) -> dict:
         return {
             "dataset": self.dataset_id,
             "n": self.n,
             "rmse": self.rmse,
             "sf": self.sf,
-            "per_engine": [
-                {
-                    "unit": row.unit_id,
-                    "true_rul": row.true_rul,
-                    "predicted_rul": row.predicted_rul,
-                    "d": row.d,
-                }
-                for row in self.per_engine
-            ],
+            "per_engine": [dict(zip(EVAL_COLUMNS, row)) for row in self.rows()],
         }
-
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["unit", "true_rul", "predicted_rul", "d"])
-            for row in self.per_engine:
-                writer.writerow([row.unit_id, row.true_rul, row.predicted_rul, row.d])
 
 
 def evaluate_predictions(predictions: dict, targets, cap: float = 130.0, dataset_id: str = "FD001") -> EvalReport:

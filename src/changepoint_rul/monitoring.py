@@ -310,19 +310,10 @@ class DeviceOutcome:
         return "detected" if self.k_cp is not None else "fallback_cap"
 
     def record(self, dataset_id: str) -> dict:
-        return {
-            "dataset": dataset_id,
-            "unit": self.unit_id,
-            "k_max": self.k_max,
-            "k_t2_cp": self.k_t2_cp,
-            "k_q_cp": self.k_q_cp,
-            "k_cp": self.k_cp,
-            "method": self.method,
-            "lambda": self.persistence,
-            "cl_t2": self.cl_t2,
-            "cl_q": self.cl_q,
-            "flagged": self.flagged,
-        }
+        """This engine's ``change_points`` row, in REPORT_COLUMNS order; every
+        column other than these three is the field of the same name."""
+        named = {"dataset": dataset_id, "unit": self.unit_id, "lambda": self.persistence}
+        return {c: named[c] if c in named else getattr(self, c) for c in REPORT_COLUMNS}
 
 
 def _longest_run(mask: np.ndarray) -> int:

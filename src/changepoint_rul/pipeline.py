@@ -20,7 +20,7 @@ import numpy as np
 from . import cmapss
 from .config import PipelineConfig
 from .cva import Standardizer, apply_standardizer
-from .errors import ConfigError, InsufficientDataError, IntegrityError
+from .errors import ConfigError, InsufficientDataError, IntegrityError, NumericError
 from .labeling import (
     WindowedDataset,
     piecewise_rul_labels,
@@ -29,7 +29,7 @@ from .labeling import (
     trailing_window,
 )
 from .lstm import load_checkpoint, predict_batch, save_checkpoint, train
-from .metrics import evaluate_predictions, format_metrics_row
+from .metrics import EVAL_COLUMNS, evaluate_predictions, format_metrics_row
 from .monitoring import (
     REPORT_COLUMNS,
     DeviceOutcome,
@@ -39,6 +39,29 @@ from .monitoring import (
 )
 
 log = logging.getLogger(__name__)
+
+
+def _write_json(path, payload) -> None:
+    """Write a report as strict, sorted, indented JSON, creating its directory.
+    The payload is encoded first, so a NaN or infinity raises NumericError and
+    writes nothing."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"report {path} holds a non-finite value: {exc}") from None
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
+def _write_csv(path, columns, rows) -> None:
+    """Write a report as a header row plus rows, creating its directory; a None
+    cell is written empty."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 def _sorted_subset(engines, subset: int | None):
@@ -119,15 +142,11 @@ def run_detect(config: PipelineConfig, engines=None, write: bool = True):
     }
 
     if write:
-        os.makedirs(config.out_dir, exist_ok=True)
         records = [o.record(config.dataset_id) for o in outcomes]
-        with open(os.path.join(config.out_dir, "change_points.json"), "w") as fh:
-            json.dump({"summary": summary, "engines": records}, fh, indent=2, sort_keys=True)
-        with open(os.path.join(config.out_dir, "change_points.csv"), "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=REPORT_COLUMNS)
-            writer.writeheader()
-            for record in records:
-                writer.writerow({k: ("" if record[k] is None else record[k]) for k in REPORT_COLUMNS})
+        report = {"summary": summary, "engines": records}
+        _write_json(os.path.join(config.out_dir, "change_points.json"), report)
+        rows = [list(record.values()) for record in records]
+        _write_csv(os.path.join(config.out_dir, "change_points.csv"), REPORT_COLUMNS, rows)
         fitted = {o.unit_id: o.monitor for o in outcomes if o.monitor is not None}
         monitors_dir = os.path.join(config.out_dir, "monitors")
         save_monitors(monitors_dir, config, selection.kept_indices, fitted)
@@ -146,21 +165,15 @@ def run_detect(config: PipelineConfig, engines=None, write: bool = True):
 
 
 def _write_traces(config, outcomes, selected):
-    traces_dir = os.path.join(config.out_dir, "traces")
-    os.makedirs(traces_dir, exist_ok=True)
     by_unit = {s.unit_id: s for s in selected}
     for outcome in outcomes:
         if outcome.monitor is None:
             continue
         stats = statistic_trace(outcome.monitor, by_unit[outcome.unit_id].sensors)
-        path = os.path.join(traces_dir, f"unit_{outcome.unit_id:04d}.csv")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["cycle", "t2", "q", "cl_t2", "cl_q"])
-            for i, cycle in enumerate(stats.cycles):
-                writer.writerow(
-                    [cycle, stats.t2[i], stats.q[i], outcome.cl_t2, outcome.cl_q]
-                )
+        path = os.path.join(config.out_dir, "traces", f"unit_{outcome.unit_id:04d}.csv")
+        limits = [outcome.cl_t2, outcome.cl_q]
+        rows = ([cycle, t2, q, *limits] for cycle, t2, q in zip(stats.cycles, stats.t2, stats.q))
+        _write_csv(path, ("cycle", "t2", "q", "cl_t2", "cl_q"), rows)
 
 
 def _pre_cp_reference(k_max: int, k_cp: int | None, config: PipelineConfig) -> int:
@@ -225,13 +238,8 @@ def run_train(config: PipelineConfig, engines=None, outcomes=None, write: bool =
     if write:
         os.makedirs(config.out_dir, exist_ok=True)
         save_checkpoint(model, os.path.join(config.out_dir, "checkpoint.npz"), meta=meta)
-        with open(os.path.join(config.out_dir, "history.json"), "w") as fh:
-            json.dump(
-                {"epoch_mse": history, "config": config.to_dict()},
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
+        trained = {"epoch_mse": history, "config": config.to_dict()}
+        _write_json(os.path.join(config.out_dir, "history.json"), trained)
         log.info("checkpoint written to %s", os.path.join(config.out_dir, "checkpoint.npz"))
     return model, history, meta
 
@@ -281,9 +289,8 @@ def run_evaluate(config: PipelineConfig, checkpoint_path=None, write: bool = Tru
         predictions, targets, cap=float(config.fallback_cap), dataset_id=config.dataset_id
     )
     if write:
-        os.makedirs(config.out_dir, exist_ok=True)
-        report.write_json(os.path.join(config.out_dir, "evaluation.json"))
-        report.write_csv(os.path.join(config.out_dir, "evaluation.csv"))
+        _write_json(os.path.join(config.out_dir, "evaluation.json"), report.to_dict())
+        _write_csv(os.path.join(config.out_dir, "evaluation.csv"), EVAL_COLUMNS, report.rows())
     print(format_metrics_row(report))
     return report
 
@@ -295,6 +302,7 @@ def run_sweep(config: PipelineConfig, candidates, write: bool = True):
     config.validate()
     if not candidates:
         raise ConfigError("sweep needs at least one candidate minimum lifespan")
+    engines, _ = _load_split(config, "train")  # read once for every candidate
     rows = []
     min_monitorable = config.first_monitored_cycle + 1
     for candidate in candidates:
@@ -309,8 +317,8 @@ def run_sweep(config: PipelineConfig, candidates, write: bool = True):
                 }
             )
             continue
-        outcomes, summary = run_detect(sub_cfg, write=write)
-        run_train(sub_cfg, outcomes=outcomes, write=True)
+        outcomes, summary = run_detect(sub_cfg, engines=engines, write=write)
+        run_train(sub_cfg, engines=engines, outcomes=outcomes, write=True)
         report = run_evaluate(sub_cfg, write=write)
         rows.append(
             {
@@ -323,15 +331,7 @@ def run_sweep(config: PipelineConfig, candidates, write: bool = True):
             }
         )
     if write:
-        os.makedirs(config.out_dir, exist_ok=True)
-        with open(os.path.join(config.out_dir, "sweep.json"), "w") as fh:
-            json.dump(rows, fh, indent=2, sort_keys=True)
-        with open(os.path.join(config.out_dir, "sweep.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["min_lifespan", "rmse", "sf"])
-            for row in rows:
-                if row["applicable"]:
-                    writer.writerow([row["min_lifespan"], row["rmse"], row["sf"]])
-                else:
-                    writer.writerow([row["min_lifespan"], "NA", "NA"])
+        _write_json(os.path.join(config.out_dir, "sweep.json"), rows)
+        cells = ([row["min_lifespan"], row.get("rmse", "NA"), row.get("sf", "NA")] for row in rows)
+        _write_csv(os.path.join(config.out_dir, "sweep.csv"), ("min_lifespan", "rmse", "sf"), cells)
     return rows

@@ -93,6 +93,31 @@ def test_training_settings_validated_with_the_config(overrides, match):
 
 
 @pytest.mark.parametrize(
+    "overrides,match",
+    [
+        ({"breach_fraction_threshold": float("nan")}, "breach fraction .* got nan"),
+        ({"breach_fraction_threshold": 7.0}, "breach fraction .* got 7.0"),
+        ({"breach_fraction_threshold": 0.0}, "breach fraction .* got 0.0"),
+        ({"grad_clip": float("inf")}, "gradient clip norm must be positive and finite, got inf"),
+        ({"learning_rate": float("inf")}, "learning rate must be positive and finite, got inf"),
+        ({"learning_rate": float("nan")}, "learning rate must be positive and finite, got nan"),
+    ],
+)
+def test_library_config_refuses_values_a_report_cannot_hold(overrides, match):
+    """A config built in Python skips the JSON type checks, so validate itself
+    refuses non-finite and out-of-range values before history.json holds them."""
+    with pytest.raises(ConfigError, match=match):
+        default_config("FD001", **overrides)
+
+
+def test_breach_fraction_threshold_bounds():
+    assert default_config("FD001", breach_fraction_threshold=1.0).breach_fraction_threshold == 1.0
+    payload = dict(default_config("FD001").to_dict(), breach_fraction_threshold=7.0)
+    with pytest.raises(ConfigError, match=r"must lie in \(0, 1\], got 7.0"):
+        PipelineConfig.from_dict(payload)
+
+
+@pytest.mark.parametrize(
     "key,value",
     [
         ("alpha", "0.99"),

@@ -1,17 +1,24 @@
+import csv
+import json
 import math
 
 import numpy as np
 import pytest
 
 from changepoint_rul.cmapss import RulTarget
+from changepoint_rul.config import default_config
 from changepoint_rul.errors import IntegrityError
 from changepoint_rul.metrics import (
+    EVAL_COLUMNS,
     evaluate_predictions,
     format_metrics_row,
     rmse,
     score_function,
     score_term,
 )
+from changepoint_rul.pipeline import run_evaluate, run_train
+
+from synthetic import write_corpus
 
 
 def targets(values, dataset="FD001"):
@@ -103,12 +110,29 @@ class TestEvaluatePredictions:
         with pytest.raises(IntegrityError, match="unit 2"):
             evaluate_predictions({1: 5.0}, targets([5, 6]))
 
-    def test_report_files(self, tmp_path):
-        report = evaluate_predictions({1: 40.0, 2: 90.0}, targets([50, 80]))
-        report.write_json(tmp_path / "eval.json")
-        report.write_csv(tmp_path / "eval.csv")
-        assert "rmse" in (tmp_path / "eval.json").read_text()
-        lines = (tmp_path / "eval.csv").read_text().strip().splitlines()
-        assert len(lines) == 3
+    def test_report_files(self, tmp_path, capsys):
+        """evaluate writes evaluation.json and one evaluation.csv row per test
+        engine, both in EVAL_COLUMNS."""
+        write_corpus(tmp_path / "data", n_train=6, n_test=3, seed=3)
+        cfg = default_config(
+            "FD001",
+            data_dir=str(tmp_path / "data"),
+            out_dir=str(tmp_path / "out"),
+            sequence_length=30,
+            hidden_sizes=(4,),
+            dropout_ratios=(),
+            epochs=1,
+        )
+        run_train(cfg)
+        report = run_evaluate(cfg)
+        assert capsys.readouterr().out == format_metrics_row(report) + "\n"
+        written = json.loads((tmp_path / "out" / "evaluation.json").read_text())
+        assert written == report.to_dict() and written["n"] == 3
+        per_engine = report.to_dict()["per_engine"]
+        assert [list(row) for row in per_engine] == [list(EVAL_COLUMNS)] * 3
+        with open(tmp_path / "out" / "evaluation.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert tuple(header) == EVAL_COLUMNS
+        assert rows == [[str(v) for v in row.values()] for row in per_engine]
         row = format_metrics_row(report)
         assert "RMSE" in row and "FD001" in row

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -7,11 +8,15 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from changepoint_rul import cmapss
 from changepoint_rul.cli import main
 from changepoint_rul.config import default_config
+from changepoint_rul.errors import NumericError
 from changepoint_rul.metrics import evaluate_predictions
+from changepoint_rul.monitoring import REPORT_COLUMNS
 from changepoint_rul.pipeline import (
     _load_split,
+    _write_json,
     run_detect,
     run_evaluate,
     run_sweep,
@@ -109,6 +114,12 @@ class TestDetect:
             "dataset,unit,k_max,k_t2_cp,k_q_cp,k_cp,method,lambda,cl_t2,cl_q,flagged"
         )
         assert len(csv_lines) == 13
+        with open(os.path.join(cfg.out_dir, "change_points.csv"), newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert tuple(header) == REPORT_COLUMNS
+        records = [o.record(cfg.dataset_id) for o in outcomes]
+        assert [list(record) for record in records] == [list(REPORT_COLUMNS)] * 12
+        assert rows == [["" if v is None else str(v) for v in r.values()] for r in records]
         monitors_dir = os.path.join(cfg.out_dir, "monitors")
         assert sorted(os.listdir(monitors_dir)) == ["manifest.json", "monitors.npz"]
         manifest = json.load(open(os.path.join(monitors_dir, "manifest.json")))
@@ -391,6 +402,22 @@ class TestSweep:
         sweep_csv = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
         assert sweep_csv[0] == "min_lifespan,rmse,sf"
         assert any("NA" in line for line in sweep_csv[1:])
+
+    def test_train_log_read_once(self, corpus, tmp_path, monkeypatch):
+        """Every candidate detects and trains on the same parsed train engines."""
+        reads = []
+        read = cmapss.read_cmapss_file
+
+        def counted(path, dataset_id):
+            reads.append(os.path.basename(path))
+            return read(path, dataset_id)
+
+        monkeypatch.setattr(cmapss, "read_cmapss_file", counted)
+        cfg = default_config(
+            "FD001", data_dir=corpus[0], out_dir=str(tmp_path), seed=1, **dict(SMALL_NET, epochs=1)
+        )
+        run_sweep(cfg, [200, 1000])
+        assert sorted(reads) == ["test_FD001.txt"] * 2 + ["train_FD001.txt"]
 
     def test_uniform_cap_arm_from_cli(self, corpus, tmp_path, capsys):
         """``sweep --candidates 200,100000`` scores change-point labels against
@@ -717,6 +744,31 @@ class TestCli:
         assert main(argv + ["--checkpoint", str(tmp_path / "none.npz")]) == 2
         assert capsys.readouterr().err.startswith("error: missing input file")
 
+    @pytest.mark.parametrize("case", ["train_log", "monitor_input", "checkpoint", "out_dir"])
+    def test_unusable_path_exits_2(self, corpus, one_record, tmp_path, capsys, case):
+        """A directory where a file belongs, or a file where a directory
+        belongs, is a data error naming the path, not a traceback."""
+        monitors_dir, _ = one_record
+        out_dir = str(tmp_path / "out")
+        if case == "train_log":
+            path = tmp_path / "data" / "train_FD001.txt"
+            path.mkdir(parents=True)
+            argv = ["detect", "--data-dir", str(path.parent), "--out-dir", out_dir]
+        elif case == "monitor_input":
+            path = tmp_path
+            argv = ["monitor", "--monitors", monitors_dir, "--input", str(path)]
+        elif case == "checkpoint":
+            path = tmp_path
+            argv = ["evaluate", "--data-dir", corpus[0], "--out-dir", out_dir, "--checkpoint", str(path)]
+        else:
+            path = tmp_path / "file"
+            path.write_text("")
+            argv = ["detect", "--data-dir", corpus[0], "--out-dir", str(path)]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: [Errno ")
+        assert str(path) in err and "Traceback" not in err
+
     def test_non_integer_sweep_candidate_exits_1(self, corpus, tmp_path, capsys):
         argv = ["sweep", "--data-dir", corpus[0], "--out-dir", str(tmp_path)]
         assert main(argv + ["--candidates", "100,abc"]) == 1
@@ -746,6 +798,14 @@ class TestCli:
         assert main([command, "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out_dir.exists()
+
+
+def test_non_finite_report_value_raises_and_writes_nothing(tmp_path):
+    path = tmp_path / "out" / "report.json"
+    with pytest.raises(NumericError, match="holds a non-finite value") as excinfo:
+        _write_json(str(path), {"rmse": float("nan")})
+    assert str(path) in str(excinfo.value)
+    assert not path.parent.exists()
 
 
 def _without(payload: dict, key: str) -> dict:
