@@ -1,13 +1,14 @@
 """Command-line entry points: detect | train | evaluate | monitor | sweep.
 
 Exit codes: 0 success, 1 config error, 2 data integrity error, 3 numeric
-failure.
+failure, 141 (128 + SIGPIPE) when the reader of standard output went away.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from contextlib import nullcontext
 
@@ -152,6 +153,10 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: missing input file: {exc}", file=sys.stderr)
         return DataError.exit_code
+    except BrokenPipeError:  # stdout's reader went away, as under `cprul monitor ... | head -1`
+        # stop quietly with 128 + SIGPIPE; the exit-time flush of stdout then goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except OSError as exc:  # a directory where a file belongs, or the reverse
         print(f"error: {exc}", file=sys.stderr)
         return DataError.exit_code

@@ -18,11 +18,22 @@ Each layer stores its gates fused: ``wx`` (4h, d), ``wh`` (4h, h) and ``b``
 (4h,), row blocks in gate order (input, forget, output, candidate), so the
 three sigmoid gates form one contiguous slab. Activations are feature-major,
 gates (L, 4h, B) and cells and hidden states (L, h, B), so each gate block of
-a step is a contiguous row slab (Appleyard et al., arXiv:1604.01946). The input
-projection of every step comes ahead of the recurrence ``z += wh @ h[t-1]``.
-Backward keeps only ``wh.T @ dz`` in the time loop, writing each gate gradient
-over the cached activations; it then copies the gradients to (4h, L*B) and
-inputs and hidden states to (L*B, ·), so each weight gradient is one GEMM.
+a step is a contiguous row slab (Appleyard et al., arXiv:1604.01946). In
+training one stacked GEMM projects every step's inputs ahead of the recurrence
+``z += wh @ h[t-1]``; batched inference projects each step into one reused
+(4h, B) buffer with the same per-step GEMM; a single window keeps its one
+(L, d) @ (d, 4h) GEMM.
+
+The training cache holds only what the backward reads: per layer the unmasked
+inputs (above the first, the lower layer's hidden states), the bool dropout
+mask, gates, cells and hidden states. The backward recomputes tanh(c) and the
+masked inputs with the forward's own ufuncs, so the gradients keep their bits.
+Its time loop keeps only ``wh.T @ dz``, writing each gate gradient over the
+cached activations. It frees the cells, tanh(c) and the incoming gradient
+before the lower layer's ``wx.T @ dz`` and the (4h, L*B) copy of the gate
+gradients, and the gates after that copy. Inputs and hidden states go to
+(L*B, ·), so each weight gradient is one GEMM.
+
 Checkpoints are version 2 and hold the fused arrays, each loaded back in its
 stored dtype (all float32 or all float64).
 """
@@ -184,12 +195,21 @@ def _time_major(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a.transpose(0, 2, 1)).reshape(-1, a.shape[1])
 
 
+def _dropout_scale(mask: np.ndarray, ratio: float, dtype) -> np.ndarray:
+    """Inverted dropout's multiplier for a bool keep mask: 1 / (1 - ratio) where kept, else 0."""
+    scale = mask.astype(dtype)
+    scale /= 1.0 - ratio
+    return scale
+
+
 def _forward_batch(model: LstmRegressor, x: np.ndarray, training: bool, rng, keep_cache=True):
     """Run (B, L, d) windows through the stack; returns (yhat (B,), cache).
 
-    The cache holds one dict of feature-major activations per layer for the
-    backward pass; with keep_cache=False it stays empty, one step's cell
-    buffers are reused, and each layer's are freed once the next has read it.
+    The cache holds one dict per layer of what the backward reads: the
+    layer's unmasked inputs, its bool dropout mask (or None), gates, cells and
+    hidden states. With keep_cache=False it stays empty, one step's cell
+    buffers are reused, and each layer's hidden states are freed once the next
+    has read them.
     """
     dtype = model.dtype
     x = _cast(x, dtype, "windows")
@@ -199,7 +219,7 @@ def _forward_batch(model: LstmRegressor, x: np.ndarray, training: bool, rng, kee
         )
     batch, steps, _ = x.shape
     cache = []
-    current = np.ascontiguousarray(x.transpose(1, 2, 0))
+    inputs = np.ascontiguousarray(x.transpose(1, 2, 0))
     for idx, layer in enumerate(model.layers):
         mask = None
         if idx > 0:
@@ -207,27 +227,33 @@ def _forward_batch(model: LstmRegressor, x: np.ndarray, training: bool, rng, kee
             if training and ratio > 0.0:
                 if rng is None:
                     raise ConfigError("training-mode forward with dropout needs an rng")
-                keep = 1.0 - ratio
                 # drawn as (B, L, d), so the rng stream does not depend on the layout
-                mask = rng.random((batch, steps, current.shape[1])) < keep
-                mask = np.ascontiguousarray(mask.transpose(1, 2, 0)).astype(dtype)
-                mask /= keep
-                current = current * mask
+                mask = rng.random((batch, steps, inputs.shape[1])) < 1.0 - ratio
+                mask = np.ascontiguousarray(mask.transpose(1, 2, 0))
         h = layer.hidden_size
-        # a single window's input projection is one GEMM, not L matrix-vector products
-        gates = (current[:, :, 0] @ layer.wx.T)[:, :, None] if batch == 1 else layer.wx @ current
-        gates += layer.b[:, None]
+        per_step = batch > 1 and not keep_cache  # inference projects one step at a time
+        if per_step:
+            gates = np.empty((1, 4 * h, batch), dtype)
+        else:
+            masked = inputs if mask is None else inputs * _dropout_scale(mask, ratio, dtype)
+            # a single window's input projection is one GEMM, not L matrix-vector products
+            gates = (masked[:, :, 0] @ layer.wx.T)[:, :, None] if batch == 1 else layer.wx @ masked
+            gates += layer.b[:, None]
+            del masked  # the backward masks the inputs again
         hidden = np.empty((steps, h, batch), dtype)
         kept_steps = steps if keep_cache else 1
         cells = np.zeros((kept_steps, h, batch), dtype)  # cells[-1]: zero state until written
-        cell_tanh = np.empty_like(cells)
+        tc = np.empty((h, batch), dtype)
         for t in range(steps):
-            z = gates[t]  # pre-activations in, gate activations out
+            z = gates[0 if per_step else t]  # pre-activations in, gate activations out
+            if per_step:  # the slice GEMM that the stacked wx @ inputs runs
+                np.matmul(layer.wx, inputs[t], out=z)
+                z += layer.b[:, None]
             if t:
                 z += layer.wh @ hidden[t - 1]
             _sigmoid_(z[: 3 * h])
             np.tanh(z[3 * h :], out=z[3 * h :])
-            c, tc = cells[t % kept_steps], cell_tanh[t % kept_steps]
+            c = cells[t % kept_steps]
             np.multiply(z[:h], z[3 * h :], out=tc)
             np.multiply(z[h : 2 * h], cells[(t - 1) % kept_steps], out=c)
             c += tc
@@ -238,11 +264,9 @@ def _forward_batch(model: LstmRegressor, x: np.ndarray, training: bool, rng, kee
             step = int(bad[0][0]) if len(bad) else -1
             raise NumericError(f"non-finite activation in layer {idx} at step {step}")
         if keep_cache:
-            cache.append(
-                dict(inputs=current, mask=mask, gates=gates, c=cells, tc=cell_tanh, h=hidden)
-            )
-        current = hidden
-    yhat = model.head_w @ current[-1] + model.head_b[0]
+            cache.append(dict(inputs=inputs, mask=mask, gates=gates, c=cells, h=hidden))
+        inputs = hidden
+    yhat = model.head_w @ hidden[-1] + model.head_b[0]
     return yhat, cache
 
 
@@ -250,15 +274,17 @@ def _backward_batch(model: LstmRegressor, cache: list, dyhat: np.ndarray) -> dic
     """Backpropagate d(loss)/d(yhat) through head and stacked recurrences.
 
     Consumes the cache: each layer's gate activations are overwritten with
-    their gradients, and its entry is dropped once its gradients are formed.
+    their gradients, and each array is dropped once its last reader is done.
     """
     grads = {"head.w": cache[-1]["h"][-1] @ dyhat, "head.b": np.array([dyhat.sum()])}
     d_hidden = None  # the top layer's only upstream gradient is the head's
     dh_next = np.outer(model.head_w, dyhat)
     for idx in range(len(model.layers) - 1, -1, -1):
-        layer, layer_cache = model.layers[idx], cache.pop()
-        gates, cells, cell_tanh, hidden = (layer_cache[k] for k in ("gates", "c", "tc", "h"))
+        layer = model.layers[idx]
+        keys = ("inputs", "mask", "gates", "c", "h")
+        inputs, mask, gates, cells, hidden = map(cache.pop().get, keys)
         steps, h, batch = hidden.shape
+        cell_tanh = np.tanh(cells)  # recomputed here rather than cached by the forward
         dc_next = 0.0
         for t in range(steps - 1, -1, -1):
             z = gates[t]  # gate activations in, d(loss)/d(pre-activation) out
@@ -276,17 +302,22 @@ def _backward_batch(model: LstmRegressor, cache: list, dyhat: np.ndarray) -> dic
             gg[...] = dz_g
             if t:
                 dh_next = layer.wh.T @ z
+        del cells, cell_tanh, tc, d_hidden
+        d_below = layer.wx.T @ gates if idx else None
         # one GEMM per weight gradient, summing over steps and windows at once
         d_z = np.ascontiguousarray(gates.transpose(1, 0, 2)).reshape(4 * h, -1)
-        grads[f"layer{idx}.wx"] = d_z @ _time_major(layer_cache["inputs"])
+        del gates, z, gi, gf, go, gg, sig
+        if mask is not None:
+            scale = _dropout_scale(mask, model.dropout_ratios[idx - 1], d_below.dtype)
+            d_below *= scale
+            inputs = np.multiply(inputs, scale, out=scale)  # masked again, in scale's buffer
+            del scale
+        grads[f"layer{idx}.wx"] = d_z @ _time_major(inputs)
         # step t's recurrent input is hidden[t - 1]; step 0 saw a zero state
         grads[f"layer{idx}.wh"] = d_z[:, batch:] @ _time_major(hidden[:-1])
         grads[f"layer{idx}.b"] = d_z @ np.ones(d_z.shape[1], d_z.dtype)  # a GEMV beats .sum(1)
-        if idx > 0:
-            d_hidden = layer.wx.T @ gates
-            if layer_cache["mask"] is not None:
-                d_hidden *= layer_cache["mask"]
-            dh_next = 0.0
+        del d_z, inputs
+        d_hidden, dh_next = d_below, 0.0
     return grads
 
 

@@ -3,6 +3,8 @@ import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -592,6 +594,31 @@ class TestCli:
         events = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert [e["type"] for e in events] == ["rejected"]
         assert events[0]["reason"].startswith("invalid JSON")
+
+    def test_closed_stdout_exits_quietly_with_sigpipe_status(self, one_record, tmp_path):
+        """A reader that stops after one event (`| head -1`) is not a data error:
+        the writer stops with 128 + SIGPIPE and prints nothing."""
+        import changepoint_rul
+
+        monitors_dir, _ = one_record
+        stream_path = tmp_path / "many.jsonl"  # far more events than a pipe buffers
+        stream_path.write_text('{"unit": 1}\n' * 20000)
+        src = os.path.dirname(os.path.dirname(changepoint_rul.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = ["monitor", "--monitors", monitors_dir, "--input", str(stream_path)]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "changepoint_rul.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        err = proc.stderr.read()  # read after the wait: a message or traceback fits the pipe
+        proc.stderr.close()
+        assert json.loads(first)["type"] == "rejected"
+        assert (code, err) == (141, b"")
 
     @pytest.mark.parametrize("kind", ["train", "test", "RUL"])
     def test_undecodable_data_file_names_row(self, corpus, trained_run, tmp_path, capsys, kind):
