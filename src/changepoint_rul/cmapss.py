@@ -203,19 +203,24 @@ def _row_error(rows: list) -> ParseError:
         fields = [f for f in row.removesuffix("\r").replace("\t", " ").split(" ") if f]
         if fields and len(fields) != N_COLUMNS:
             return ParseError(f"row {lineno}: expected {N_COLUMNS} columns, got {len(fields)}")
-        for field in fields:  # numpy converts as float() does, but not non-ASCII or "_"
-            if not (field.isascii() and field.isprintable() and "_" not in field):
-                return ParseError(f"row {lineno}: non-numeric field {field!r}")
-            try:
-                float(field)
-            except ValueError:
-                return ParseError(f"row {lineno}: non-numeric field {field!r}")
+        bad = [f for f in fields if not _is_number(f)]
+        if bad:
+            return ParseError(f"row {lineno}: non-numeric field {bad[0]!r}")
         values = [float(f) for f in fields]
         if not all(abs(v) <= MAX_ABS_READING for v in values):  # also false for nan
             return ParseError(f"row {lineno}: value not finite or beyond {MAX_ABS_READING:g}")
         if values and not (values[0] > 0 and values[0].is_integer()):
             return ParseError(f"row {lineno}: unit id must be a positive integer")
     raise AssertionError("the log was rejected as a whole but every row parses")
+
+
+def _is_number(field: str) -> bool:
+    """A number of the log grammar: what float() reads, if ASCII, printable and without "_"."""
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return field.isascii() and field.isprintable() and "_" not in field
 
 
 def select_sensors(dataset_id: str) -> SensorSelection:
@@ -255,17 +260,17 @@ def apply_selection(series: EngineSeries, selection: SensorSelection) -> EngineS
 
 
 def load_rul_targets(text: str, dataset_id: str = "FD001", expected_count: int | None = None) -> list[RulTarget]:
-    """Parse the per-engine true-RUL file; line i maps to test unit i."""
+    """Parse the per-engine true-RUL file, one value per row of the log grammar
+    (split on newlines, blank rows skipped); row i maps to test unit i."""
     _check_dataset_id(dataset_id)
     targets = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        stripped = line.removesuffix("\r").strip(" \t")
         if not stripped:
             continue
-        try:
-            value = float(stripped)
-        except ValueError:
-            raise ParseError(f"row {lineno}: non-numeric RUL value {stripped!r}") from None
+        if not _is_number(stripped):
+            raise ParseError(f"row {lineno}: non-numeric RUL value {stripped!r}")
+        value = float(stripped)
         if not math.isfinite(value):
             raise ParseError(f"row {lineno}: non-finite RUL value {stripped!r}")
         if value != int(value):

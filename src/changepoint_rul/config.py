@@ -4,18 +4,22 @@ Defaults reproduce the reference experimental setup: 2 lags in both the
 past and the future vector, 99% control limits on a 60-cycle normal window
 validated over the next 20, a 200-cycle minimum lifespan for change-point
 detection with a 130-cycle fallback RUL cap, and the tuned per-dataset LSTM
-settings. Values read from JSON must match their field's type.
+settings. Values read from JSON must match their field's type, and a config is
+checked whenever it is made, by ``dataclasses.replace`` and the constructor too.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 from .cmapss import DATASETS
 from .errors import ConfigError
 from .lstm import TrainConfig
+
+# In-sample statistics a KDE control limit needs; an N-cycle normal window has N - 2p + 1.
+KDE_MIN_SAMPLES = 30
 
 # Tuned per-dataset values: retained variates plus the LSTM grid winners.
 DATASET_DEFAULTS = {
@@ -76,15 +80,19 @@ class PipelineConfig:
     subset: int | None = None
     export_traces: bool = False
 
-    def validate(self) -> "PipelineConfig":
+    def __post_init__(self):
         if self.dataset_id not in DATASETS:
             raise ConfigError(f"unknown dataset id {self.dataset_id!r}")
         if self.p < 1:
             raise ConfigError(f"lag count must be >= 1, got p={self.p}")
         if not 0.5 < self.alpha < 1.0:
             raise ConfigError(f"confidence level must lie in (0.5, 1), got {self.alpha}")
-        if self.normal_window < 2 * self.p + 1:
-            raise ConfigError("normal window too short for the lag embedding")
+        if self.normal_window - 2 * self.p + 1 < KDE_MIN_SAMPLES:
+            least = 2 * self.p + KDE_MIN_SAMPLES - 1
+            raise ConfigError(
+                f"a control limit needs a normal window >= {least} at p={self.p}, "
+                f"got {self.normal_window}"
+            )
         if self.validation_window < 1 or self.min_lifespan < 1 or self.fallback_cap < 1:
             raise ConfigError("window, lifespan, and cap settings must be positive")
         if not 0.0 < self.breach_fraction_threshold <= 1.0:  # a NaN fails too
@@ -96,8 +104,7 @@ class PipelineConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.subset is not None and self.subset < 1:
             raise ConfigError("subset size must be >= 1 when given")
-        self.train_config().validate()  # before detect writes anything
-        return self
+        self.train_config()  # checks the training settings before detect writes anything
 
     @property
     def first_monitored_cycle(self) -> int:
@@ -139,17 +146,14 @@ class PipelineConfig:
                 raise ConfigError(f"config key {key!r} must be {kind}, got {value!r}")
             if kind.startswith("tuple"):
                 payload[key] = tuple(value)
-        return cls(**payload).validate()
+        return cls(**payload)
 
 
 def default_config(dataset_id: str = "FD001", **overrides) -> PipelineConfig:
     """Reference-experiment defaults for a dataset, with keyword overrides."""
     if not isinstance(dataset_id, str) or dataset_id not in DATASET_DEFAULTS:
         raise ConfigError(f"unknown dataset id {dataset_id!r}")
-    base = PipelineConfig(dataset_id=dataset_id, **DATASET_DEFAULTS[dataset_id])
-    if overrides:
-        base = replace(base, **overrides)
-    return base.validate()
+    return PipelineConfig(**{**DATASET_DEFAULTS[dataset_id], "dataset_id": dataset_id, **overrides})
 
 
 def load_config(path, **overrides) -> PipelineConfig:

@@ -210,8 +210,6 @@ def fit_cva(lagged: LaggedMatrices, r: int, standardizer: Standardizer | None = 
     _, singular_values, vt = np.linalg.svd(
         w_f @ (scale * (xf @ xp.swapaxes(-1, -2))) @ w, full_matrices=False
     )
-    if r > vt.shape[-2]:
-        raise ConfigError(f"r={r} exceeds the {vt.shape[-2]} available singular directions")
     return CvaModel.from_transforms(
         standardizer, lagged.p, w, vt[..., :r, :].swapaxes(-1, -2), singular_values
     )

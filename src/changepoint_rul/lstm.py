@@ -396,7 +396,7 @@ class TrainConfig:
     grad_clip: float | None = 5.0
     label_cap: float = 130.0
 
-    def validate(self):
+    def __post_init__(self):
         if self.sequence_length < 1:
             raise ConfigError("sequence length must be >= 1")
         if not 0.0 < self.learning_rate < np.inf:  # a NaN fails too
@@ -417,7 +417,6 @@ def train(dataset: WindowedDataset, config: TrainConfig):
     samples. The model trains in float32; epochs=0 returns the freshly
     initialized model cast to float32.
     """
-    config.validate()
     if len(dataset) == 0:
         raise InsufficientDataError("windowed dataset is empty")
     if dataset.sequence_length != config.sequence_length:

@@ -5,7 +5,7 @@ window, control limits for the two monitoring statistics are estimated by
 kernel density estimation at a one-sided confidence level, and the cycles
 after the following validation window are scanned for the first cycle whose
 statistic stays above its limit through end of life. The validation window
-itself is not yet checked against the limits (paper step 2; ROADMAP item 1).
+itself is not yet checked against the limits (paper step 2; ROADMAP item 3).
 A fleet is fitted in stacked arrays: one standardizer, lag embedding and CVA
 solve over all the normal windows, and one lockstep bisection for every
 control limit; each device keeps its own results, the same bits it would get
@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .cmapss import check_kept_indices
-from .config import PipelineConfig
+from .config import KDE_MIN_SAMPLES, PipelineConfig
 from .cva import (
     STD_FLOOR,
     CvaModel,
@@ -38,7 +38,6 @@ from .cva import (
 )
 from .errors import ConfigError, InsufficientDataError, IntegrityError, ShapeError
 
-KDE_MIN_SAMPLES = 30
 # Relative width at which the control-limit bisection stops.
 KDE_RTOL = 1e-6
 

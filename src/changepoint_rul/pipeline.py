@@ -117,20 +117,14 @@ def run_detect(config: PipelineConfig, engines=None, write: bool = True):
     change_points.{json,csv}, the fleet's monitor store, and optionally
     statistic traces under config.out_dir.
     """
-    config.validate()
     selection, selected = _selected_train_engines(config, engines)
     # Engines short of the minimum lifespan, or with no cycles to monitor, get
-    # the fixed-cap fallback; the rest are fitted as one fleet. Too few
-    # normal-window columns for a control limit comes from the settings, so
-    # then every engine falls back.
+    # the fixed-cap fallback; the rest are fitted as one fleet.
     tau = config.first_monitored_cycle
     outcomes = [DeviceOutcome(unit_id=s.unit_id, k_max=s.k_max) for s in selected]
     fit = [i for i, s in enumerate(selected) if s.k_max >= config.min_lifespan and s.k_max > tau]
-    try:
-        for i, outcome in zip(fit, fit_device_monitors([selected[i] for i in fit], config)):
-            outcomes[i] = outcome
-    except InsufficientDataError:
-        pass
+    for i, outcome in zip(fit, fit_device_monitors([selected[i] for i in fit], config)):
+        outcomes[i] = outcome
 
     summary = {
         "dataset": config.dataset_id,
@@ -220,7 +214,6 @@ def run_train(config: PipelineConfig, engines=None, outcomes=None, write: bool =
     change-point report already under out_dir is never read. Returns
     (model, history, meta).
     """
-    config.validate()
     selection, selected = _selected_train_engines(config, engines)
     if outcomes is None:
         outcomes, _ = run_detect(config, engines=selected, write=write)
@@ -270,7 +263,6 @@ def read_checkpoint(path):
 
 def run_evaluate(config: PipelineConfig, checkpoint_path=None, write: bool = True):
     """Score a checkpoint over the test set; returns the EvalReport."""
-    config.validate()
     if checkpoint_path is None:
         checkpoint_path = os.path.join(config.out_dir, "checkpoint.npz")
     model, kept, pooled = read_checkpoint(checkpoint_path)
@@ -299,16 +291,13 @@ def run_sweep(config: PipelineConfig, candidates, write: bool = True):
     """Full pipeline per candidate minimum lifespan. A candidate below the
     first monitorable lifespan is recorded as not applicable; one above every
     lifespan puts all engines on the fallback cap, the uniform-cap arm."""
-    config.validate()
     if not candidates:
         raise ConfigError("sweep needs at least one candidate minimum lifespan")
     engines, _ = _load_split(config, "train")  # read once for every candidate
     rows = []
     min_monitorable = config.first_monitored_cycle + 1
     for candidate in candidates:
-        sub_dir = os.path.join(config.out_dir, f"sweep_{candidate}")
-        sub_cfg = replace(config, min_lifespan=int(candidate), out_dir=sub_dir)
-        if candidate < min_monitorable:
+        if candidate < min_monitorable:  # recorded before a config could refuse it
             rows.append(
                 {
                     "min_lifespan": candidate,
@@ -317,6 +306,8 @@ def run_sweep(config: PipelineConfig, candidates, write: bool = True):
                 }
             )
             continue
+        sub_dir = os.path.join(config.out_dir, f"sweep_{candidate}")
+        sub_cfg = replace(config, min_lifespan=int(candidate), out_dir=sub_dir)
         outcomes, summary = run_detect(sub_cfg, engines=engines, write=write)
         run_train(sub_cfg, engines=engines, outcomes=outcomes, write=True)
         report = run_evaluate(sub_cfg, write=write)

@@ -192,6 +192,33 @@ def test_rul_non_finite_rejected(value):
         load_rul_targets(f"12\n{value}\n")
 
 
+@pytest.mark.parametrize(
+    "text,bad_row",
+    [
+        ("5\u20287\n", 1),  # line separator
+        ("5\x0c7\n", 1),  # form feed
+        ("3\n\x0c7\n", 2),  # form feed before the value
+        ("3\n\u0661\u0662\n", 2),  # Arabic-Indic digits
+        ("1_000\n", 1),
+        ("3\n7\xa0\n", 2),  # no-break space
+        ("3\r4\n", 1),  # lone carriage return
+        ("3\n\udcff\n", 2),  # undecodable byte
+    ],
+    ids=[
+        "u2028", "form_feed", "leading_form_feed", "arabic_indic", "underscore", "nbsp",
+        "lone_cr", "surrogate",
+    ],
+)
+def test_rul_row_off_the_log_grammar_names_row(text, bad_row):
+    with pytest.raises(ParseError, match=f"^row {bad_row}: non-numeric RUL value "):
+        load_rul_targets(text)
+
+
+def test_rul_rows_end_at_newline_with_an_optional_carriage_return():
+    targets = load_rul_targets("\t12 \r\n\r\n 7\n \n9")
+    assert [t.true_rul_at_cutoff for t in targets] == [12, 7, 9]
+
+
 def test_rul_count_mismatch():
     with pytest.raises(IntegrityError, match="2 entries"):
         load_rul_targets("5\n6\n", expected_count=3)

@@ -1,10 +1,11 @@
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
 from changepoint_rul.cli import main
-from changepoint_rul.config import PipelineConfig, default_config, load_config
+from changepoint_rul.config import KDE_MIN_SAMPLES, PipelineConfig, default_config, load_config
 from changepoint_rul.errors import ConfigError
 
 HERE = os.path.dirname(__file__)
@@ -104,10 +105,49 @@ def test_training_settings_validated_with_the_config(overrides, match):
     ],
 )
 def test_library_config_refuses_values_a_report_cannot_hold(overrides, match):
-    """A config built in Python skips the JSON type checks, so validate itself
+    """A config built in Python skips the JSON type checks, so the config itself
     refuses non-finite and out-of-range values before history.json holds them."""
     with pytest.raises(ConfigError, match=match):
         default_config("FD001", **overrides)
+
+
+@pytest.mark.parametrize(
+    "windows,refused",
+    [
+        (dict(normal_window=32), True),  # 29 in-sample statistics at p=2
+        (dict(normal_window=33), False),  # 30, the least a control limit takes
+        (dict(p=3, normal_window=34), True),
+        (dict(p=3, normal_window=35), False),
+    ],
+)
+def test_normal_window_must_leave_enough_statistics_for_a_limit(windows, refused):
+    least = 2 * windows.get("p", 2) + KDE_MIN_SAMPLES - 1
+    if refused:
+        with pytest.raises(ConfigError, match=f"normal window >= {least} at p="):
+            default_config("FD001", **windows)
+        payload = dict(default_config("FD001").to_dict(), **windows)
+        with pytest.raises(ConfigError, match=f"normal window >= {least} at p="):
+            PipelineConfig.from_dict(payload)
+    else:
+        assert default_config("FD001", **windows).normal_window == least
+
+
+@pytest.mark.parametrize(
+    "changes,match",
+    [
+        ({"normal_window": 20}, "normal window >= 33 at p=2, got 20"),
+        ({"p": 0}, "lag count must be >= 1, got p=0"),
+        ({"min_lifespan": 0}, "lifespan"),
+        ({"optimizer": "adam"}, "unknown optimizer 'adam'"),
+    ],
+)
+def test_every_config_is_checked_when_it_is_made(changes, match):
+    """A config made by the constructor or by ``dataclasses.replace`` is refused
+    just as one from ``default_config`` or a file, so no caller re-checks it."""
+    with pytest.raises(ConfigError, match=match):
+        replace(default_config("FD001"), **changes)
+    with pytest.raises(ConfigError, match=match):
+        PipelineConfig(**changes)
 
 
 def test_breach_fraction_threshold_bounds():

@@ -337,9 +337,9 @@ class TestTraining:
     def test_config_validation(self):
         for optimizer in ("sgd", "adam"):
             with pytest.raises(ConfigError, match=f"unknown optimizer '{optimizer}'"):
-                TrainConfig(optimizer=optimizer).validate()
+                TrainConfig(optimizer=optimizer)
         with pytest.raises(ConfigError):
-            TrainConfig(learning_rate=0.0).validate()
+            TrainConfig(learning_rate=0.0)
         with pytest.raises(ConfigError):
             init_regressor(3, (4, 4), (0.2, 0.1), seed=0)  # too many ratios
         with pytest.raises(ConfigError):

@@ -156,13 +156,23 @@ class TestDetect:
             assert type(manifest[key]) is type(getattr(cfg, key)) and manifest[key] == getattr(cfg, key)
 
     def test_fleet_without_monitors_loads_as_none(self, corpus, tmp_path):
-        from changepoint_rul.streaming import load_monitors
+        """A minimum lifespan above every engine's fits none: the store holds
+        zero rows, loads as no monitors, and the stream rejects every unit."""
+        from changepoint_rul.streaming import load_monitors, run_monitor
 
         cfg = default_config("FD001", data_dir=corpus[0], out_dir=str(tmp_path), min_lifespan=1000)
         _, summary = run_detect(cfg)
-        assert summary["n_detected"] == 0
-        monitors, manifest = load_monitors(str(tmp_path / "monitors"))
+        assert summary["n_detected"] == 0 and summary["n_fallback"] == summary["n_engines"] == 12
+        monitors_dir = str(tmp_path / "monitors")
+        with np.load(os.path.join(monitors_dir, "monitors.npz")) as store:
+            assert all(store[name].shape[0] == 0 for name in store.files)
+        monitors, manifest = load_monitors(monitors_dir)
         assert monitors == {} and manifest["units"] == []
+        out = io.StringIO()
+        record = json.dumps({"unit": 1, "cycle": 1, "sensors": [1.0] * 14})
+        assert run_monitor(monitors_dir, [record], out) == 1
+        event = json.loads(out.getvalue())
+        assert (event["type"], event["reason"]) == ("rejected", "unknown unit 1")
 
     def test_flagged_persisted_and_read_back(self, detect_run):
         cfg, outcomes, _, _ = detect_run
@@ -188,51 +198,6 @@ class TestDetect:
         _, summary = run_detect(cfg, write=False)
         assert summary["n_fallback"] == summary["n_engines"]
         assert summary["n_detected"] == 0
-
-    def test_settings_too_short_for_a_limit_send_every_engine_to_fallback(
-        self, tmp_path, monkeypatch
-    ):
-        """A 20-cycle normal window leaves 17 in-sample statistics, fewer than
-        a control limit needs, so the fleet fit fails and every engine falls back."""
-        from changepoint_rul import pipeline
-        from changepoint_rul.errors import InsufficientDataError
-        from changepoint_rul.monitoring import KDE_MIN_SAMPLES
-        from changepoint_rul.streaming import load_monitors, run_monitor
-
-        write_corpus(tmp_path / "data", n_train=6, n_test=3, seed=3)
-        cfg = default_config(
-            "FD001", data_dir=str(tmp_path / "data"), out_dir=str(tmp_path / "out"), normal_window=20
-        )
-        assert cfg.normal_window - 2 * cfg.p + 1 < KDE_MIN_SAMPLES
-        raised = []
-
-        def fit(engines, config):
-            try:
-                return fit_device_monitors(engines, config)
-            except InsufficientDataError as exc:
-                raised.append((len(engines), str(exc)))
-                raise
-
-        fit_device_monitors = pipeline.fit_device_monitors
-        monkeypatch.setattr(pipeline, "fit_device_monitors", fit)
-        outcomes, summary = run_detect(cfg)
-        long_lived = sum(o.k_max >= cfg.min_lifespan for o in outcomes)
-        assert long_lived == 5 and [n for n, _ in raised] == [long_lived]
-        assert summary == {
-            "dataset": "FD001", "n_engines": 6, "n_detected": 0, "n_fallback": 6,
-            "n_flagged": 0, "min_lifespan": cfg.min_lifespan,
-        }
-        assert all(o.monitor is None and o.method == "fallback_cap" for o in outcomes)
-        monitors_dir = str(tmp_path / "out" / "monitors")
-        with np.load(os.path.join(monitors_dir, "monitors.npz")) as store:
-            assert all(store[name].shape[0] == 0 for name in store.files)
-        monitors, manifest = load_monitors(monitors_dir)
-        assert monitors == {} and manifest["units"] == []
-        out = io.StringIO()
-        record = json.dumps({"unit": 1, "cycle": 1, "sensors": [1.0] * 14})
-        assert run_monitor(monitors_dir, [record], out) == 1
-        event = json.loads(out.getvalue())
-        assert (event["type"], event["reason"]) == ("rejected", "unknown unit 1")
 
     def test_rerun_byte_identical(self, corpus, tmp_path):
         data_dir, _ = corpus
@@ -663,8 +628,12 @@ class TestCli:
             (lambda m: dict(m, units=m["units"][:1] + m["units"][:-1]), "lists unit 1 twice"),
             (lambda m: _without(m, "r"), "holds no valid fleet settings: KeyError: 'r'"),
             (lambda m: dict(m, alpha=float("nan")), "config key 'alpha' must be float, got nan"),
+            (lambda m: dict(m, normal_window=20), "normal window >= 33 at p=2, got 20"),
         ],
-        ids=["index_above_21", "thirteen_sensors", "text_unit", "unit_twice", "without_r", "nan_alpha"],
+        ids=[
+            "index_above_21", "thirteen_sensors", "text_unit", "unit_twice", "without_r",
+            "nan_alpha", "window_below_a_limit",
+        ],
     )
     def test_monitor_rejects_bad_manifest(self, one_record, tmp_path, capsys, patch, match):
         monitors_dir, stream_path = one_record
@@ -801,6 +770,35 @@ class TestCli:
         assert main(argv + ["--candidates", "100,abc"]) == 1
         assert capsys.readouterr().err == "error: sweep candidate 'abc' is not an integer\n"
         assert not os.listdir(tmp_path)
+
+    def test_normal_window_too_short_for_a_limit_exits_1_before_writing(
+        self, corpus, tmp_path, capsys
+    ):
+        """A 20-cycle normal window leaves 17 in-sample statistics at p=2, fewer
+        than a control limit needs: a config error, not a fleet of fallbacks."""
+        out_dir = tmp_path / "out"
+        cfg_path = tmp_path / "cfg.json"
+        config = {"data_dir": corpus[0], "out_dir": str(out_dir), "normal_window": 20}
+        cfg_path.write_text(json.dumps(config))
+        assert main(["detect", "--config", str(cfg_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: a control limit needs a normal window >= 33 at p=2, got 20\n"
+        assert not out_dir.exists()
+
+    def test_sweep_reports_a_candidate_below_any_config_as_na(self, corpus, tmp_path, capsys):
+        """Candidate 0 is no valid minimum lifespan, yet it is reported as NA
+        beside the candidates that run."""
+        config = dict(SMALL_NET, data_dir=corpus[0], out_dir=str(tmp_path), epochs=1, subset=4)
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = ["sweep", "--config", str(tmp_path / "cfg.json"), "--candidates", "0,200"]
+        assert main(argv) == 0
+        printed = [line for line in capsys.readouterr().out.splitlines() if "min_lifespan" in line]
+        assert printed[0] == "min_lifespan=0    NA (candidate below first monitorable lifespan 83)"
+        assert printed[1].startswith("min_lifespan=200  RMSE=") and len(printed) == 2
+        rows = json.loads((tmp_path / "sweep.json").read_text())
+        assert [(r["min_lifespan"], r["applicable"]) for r in rows] == [(0, False), (200, True)]
+        assert not (tmp_path / "sweep_0").exists()
 
     def test_negative_seed_exits_1(self, corpus, tmp_path, capsys):
         argv = ["train", "--data-dir", corpus[0], "--out-dir", str(tmp_path), "--seed", "-5"]
