@@ -30,7 +30,17 @@ then the median over repetitions of each checkout's time over the first's,
 ``same_as_first`` tells whether its outcome records and monitor arrays
 (``w``, ``vr``, ``singular_values``, ``j``, ``j_res``, ``mean``, ``std``)
 equal the first checkout's exactly, and ``read_same_as_first`` whether its
-parsed engines (unit ids, cycles, settings, sensors) do, byte for byte. BLAS
+parsed engines (unit ids, cycles, settings, sensors) do, byte for byte.
+
+A change of the whitening basis makes ``same_as_first`` false even when every
+statistic agrees to rounding, so three more keys say what such a change may and
+may not move: ``records_same_as_first`` tells whether every outcome record
+equals the first checkout's in every column but the two control limits
+(change points, method, persistence, flag); ``limits_max_rel_diff`` is the
+largest relative difference of a fitted engine's ``cl_t2`` or ``cl_q`` from
+the first checkout's; and ``statistics_max_rel_diff`` that of any value of a
+fitted engine's ``statistic_trace`` (T2 and Q over its whole life). Both are
+null when the two checkouts fit different engines. BLAS
 is held to one thread before numpy loads. The JSON result goes to stdout, and
 to ``--out`` if given.
 """
@@ -194,6 +204,46 @@ def fingerprint(outcomes) -> list:
     return prints
 
 
+def records_same(a: list, b: list) -> bool:
+    """Every outcome record equal, the two control limits aside."""
+    drop = ("cl_t2", "cl_q")
+    return [{k: v for k, v in r.items() if k not in drop} for r, _ in a] == [
+        {k: v for k, v in r.items() if k not in drop} for r, _ in b
+    ]
+
+
+def rel_diff(a, b) -> float:
+    """Largest |a - b| / |b| over two equal-shape arrays; equal entries count 0."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.max(np.where(a == b, 0.0, np.abs(a - b) / np.abs(b)), initial=0.0))
+
+
+def traces(package, outcomes, rows) -> list:
+    """(t2, q) of each fitted engine over its whole life, None for the rest."""
+    trace = package.monitoring.statistic_trace
+    stats = [
+        None if o.monitor is None else trace(o.monitor, sensors)
+        for o, (_, _, sensors) in zip(outcomes, rows)
+    ]
+    return [None if st is None else (st.t2, st.q) for st in stats]
+
+
+def limits(outcomes) -> list:
+    """(cl_t2, cl_q) of each fitted engine, None for the rest."""
+    return [None if o.monitor is None else (o.cl_t2, o.cl_q) for o in outcomes]
+
+
+def max_rel_diff(pairs_a: list, pairs_b: list):
+    """Largest rel_diff over matched entries; None when one side lacks an entry."""
+    if [x is None for x in pairs_a] != [x is None for x in pairs_b]:
+        return None
+    return max(
+        (rel_diff(x, y) for a, b in zip(pairs_a, pairs_b) if a is not None for x, y in zip(a, b)),
+        default=0.0,
+    )
+
+
 def same(a: list, b: list) -> bool:
     if len(a) != len(b):
         return False
@@ -234,9 +284,13 @@ def main(argv=None) -> int:
                     samples[i].append(sample)
         peaks = [read_peak_mb(step) for step, _ in reads]
     first = fingerprint(built[0][1])
+    first_limits = limits(built[0][1])
+    first_traces = traces(packages[0], built[0][1], rows)
     first_read = engine_bytes(reads[0][1])
     results = {}
-    for src, kept, (_, outcomes), (_, engines), peak in zip(sources, samples, built, reads, peaks):
+    for src, package, kept, (_, outcomes), (_, engines), peak in zip(
+        sources, packages, samples, built, reads, peaks
+    ):
         keys = ("run_detect", *SUB_STEPS, "read")
         results[src] = {
             **{key: summary([s[key] for s in kept]) for key in keys},
@@ -250,7 +304,13 @@ def main(argv=None) -> int:
                 key: round(statistics.median(s[key] / f[key] for s, f in zip(kept, samples[0])), 4)
                 for key in keys
             }
-            results[src]["same_as_first"] = same(fingerprint(outcomes), first)
+            prints = fingerprint(outcomes)
+            results[src]["same_as_first"] = same(prints, first)
+            results[src]["records_same_as_first"] = records_same(prints, first)
+            results[src]["limits_max_rel_diff"] = max_rel_diff(limits(outcomes), first_limits)
+            results[src]["statistics_max_rel_diff"] = max_rel_diff(
+                traces(package, outcomes, rows), first_traces
+            )
             results[src]["read_same_as_first"] = engine_bytes(engines) == first_read
     result = {
         "fleet": f"{N_ENGINES} FD004-shaped engines, lifespans {SHORTEST}..{LONGEST}, "

@@ -129,7 +129,7 @@ def read_cmapss_file(path, dataset_id: str = "FD001") -> list[EngineSeries]:
     """
     with open(path, "rb") as fh:  # a missing file raises first, as reading its text would
         chunks = iter(lambda: fh.read(1 << 20), b"")
-        plain = all(_plain_ascii(chunk.decode("latin-1")) for chunk in chunks)
+        plain = all(map(_plain_ascii, chunks))
     _check_dataset_id(dataset_id)
     # numpy opens a path str through np.lib._datasource, which takes "scheme://host/..." for a URL
     table = _table(os.path.abspath(path)) if plain else None
@@ -139,9 +139,12 @@ def read_cmapss_file(path, dataset_id: str = "FD001") -> list[EngineSeries]:
     return _engines(table, dataset_id)
 
 
-def _plain_ascii(text: str) -> bool:
+def _plain_ascii(text: str | bytes) -> bool:
     # numpy would also split fields on the ASCII whitespace other than space and tab
-    return text.isascii() and not any(c in text for c in "\v\f\x1c\x1d\x1e\x1f")
+    excluded = "\v\f\x1c\x1d\x1e\x1f"
+    if isinstance(text, bytes):
+        excluded = excluded.encode()  # its items are ints, and `int in bytes` finds that byte
+    return text.isascii() and not any(c in text for c in excluded)
 
 
 def _table(source):

@@ -4,8 +4,9 @@ Defaults reproduce the reference experimental setup: 2 lags in both the
 past and the future vector, 99% control limits on a 60-cycle normal window
 validated over the next 20, a 200-cycle minimum lifespan for change-point
 detection with a 130-cycle fallback RUL cap, and the tuned per-dataset LSTM
-settings. Values read from JSON must match their field's type, and a config is
-checked whenever it is made, by ``dataclasses.replace`` and the constructor too.
+settings. Every value must match its field's type, and a value read from JSON
+must be finite too; a config is checked whenever it is made, by
+``dataclasses.replace`` and the constructor too.
 """
 
 from __future__ import annotations
@@ -36,11 +37,17 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    """A finite int or float; JSON's NaN and Infinity are not numbers here."""
-    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+    """An int or a float; its range is the field's own check."""
+    return _is_int(value) or isinstance(value, float)
 
 
-# The check a JSON value must pass, per field annotation.
+def _is_finite(value) -> bool:
+    """False for JSON's NaN and Infinity, alone or in a list: not numbers in a file."""
+    values = value if isinstance(value, list) else [value]
+    return all(math.isfinite(v) for v in values if isinstance(v, float))
+
+
+# The type a field's value must have, per field annotation.
 _FIELD_CHECKS = {
     "str": lambda v: isinstance(v, str),
     "bool": lambda v: isinstance(v, bool),
@@ -81,6 +88,10 @@ class PipelineConfig:
     export_traces: bool = False
 
     def __post_init__(self):
+        for name, field in self.__dataclass_fields__.items():
+            value = getattr(self, name)
+            if not _FIELD_CHECKS[field.type](value):
+                raise ConfigError(f"config key {name!r} must be {field.type}, got {value!r}")
         if self.dataset_id not in DATASETS:
             raise ConfigError(f"unknown dataset id {self.dataset_id!r}")
         if self.p < 1:
@@ -142,9 +153,9 @@ class PipelineConfig:
         payload = dict(payload)
         for key, value in payload.items():
             kind = cls.__dataclass_fields__[key].type
-            if not _FIELD_CHECKS[kind](value):
+            if not _is_finite(value):
                 raise ConfigError(f"config key {key!r} must be {kind}, got {value!r}")
-            if kind.startswith("tuple"):
+            if kind.startswith("tuple") and isinstance(value, list):
                 payload[key] = tuple(value)
         return cls(**payload)
 

@@ -8,6 +8,12 @@ the leading axis. Channels are standardized before lagging, so every
 lag copy of a channel shares the same scale parameters and the projection
 transforms stay strictly linear (a zero input column maps to zero variates).
 
+A covariance is whitened by W = L^-1, the inverse of the lower Cholesky factor
+L of the covariance plus a small ridge, so W is lower-triangular. Any W with
+W.T W = inverse covariance gives the same canonical variates up to a rotation
+of the whitened past, so the T2 and Q statistics (squared norms) do not depend
+on which square root is taken; only the stored transforms do.
+
 Past and future vectors both hold p lags. Lag stacking convention, pinned
 by tests: the past vector at cycle k stacks newest lag first
 [x_{k-1}, x_{k-2}, ..., x_{k-p}]; the future vector stacks oldest first
@@ -28,9 +34,10 @@ from .errors import ConfigError, InsufficientDataError, NumericError, ShapeError
 # constant sensors standardize to zero rather than NaN.
 STD_FLOOR = 1e-8
 
-# Eigenvalues of lagged covariances are floored at this fraction of the
-# largest one; short normal-operation windows make them near-singular.
-EIG_FLOOR_RATIO = 1e-8
+# Ridge added to a lagged covariance's diagonal before it is factored, as a
+# fraction of its largest variance: short normal-operation windows and floored
+# constant channels make the covariances singular.
+RIDGE_RATIO = 1e-12
 
 
 @dataclass(frozen=True)
@@ -125,25 +132,26 @@ def build_lagged_matrices(x: np.ndarray, p: int) -> LaggedMatrices:
     return LaggedMatrices(xp=xp, xf=xf, p=p)
 
 
-def _inverse_sqrt_sym(s: np.ndarray) -> np.ndarray:
-    """Inverse square root of each symmetric PSD matrix of a (..., k, k) stack,
-    with eigenvalue flooring."""
+def _whitener(s: np.ndarray) -> np.ndarray:
+    """Inverse Cholesky factor W of each symmetric PSD matrix of a (..., k, k)
+    stack, ridged, so that W s W.T is the identity to the ridge."""
     s = 0.5 * (s + s.swapaxes(-1, -2))
-    eigvals, eigvecs = np.linalg.eigh(s)
-    if not np.all(np.isfinite(eigvals)):
-        raise NumericError("covariance eigendecomposition produced non-finite values")
-    largest = eigvals[..., -1:]
+    if not np.all(np.isfinite(s)):
+        raise NumericError("covariance matrix holds non-finite values")
+    largest = np.diagonal(s, axis1=-2, axis2=-1).max(axis=-1)
     if np.any(largest <= 0):
         raise NumericError("covariance matrix is not positive semidefinite")
-    floored = np.maximum(eigvals, EIG_FLOOR_RATIO * largest)
-    return (eigvecs * (1.0 / np.sqrt(floored))[..., None, :]) @ eigvecs.swapaxes(-1, -2)
+    ridge = (RIDGE_RATIO * largest)[..., None, None] * np.eye(s.shape[-1])
+    # inv pivots, so rounding leaves specks above the diagonal of L^-1
+    return np.tril(np.linalg.inv(np.linalg.cholesky(s + ridge)))
 
 
 @dataclass(frozen=True)
 class CvaModel:
     """Fitted canonical-variate transforms.
 
-    ``w`` whitens the past space, ``vr`` holds the retained right singular
+    ``w`` whitens the past space (the lower-triangular inverse Cholesky factor
+    of its ridged covariance), ``vr`` holds the retained right singular
     vectors, ``j = vr.T @ w`` maps a past column to the r dominant variates
     and ``j_res = (I - vr vr.T) @ w`` to the residual space, so that
     w @ xp == vr @ z + e column by column. A model fitted on a stack holds
@@ -205,10 +213,10 @@ def fit_cva(lagged: LaggedMatrices, r: int, standardizer: Standardizer | None = 
     scale = 1.0 / (n_eff - 1)
     xp, xf = lagged.xp, lagged.xf
     # covariances as temporaries, each freed once used: a fleet's stacks are large
-    w = _inverse_sqrt_sym(scale * (xp @ xp.swapaxes(-1, -2)))
-    w_f = _inverse_sqrt_sym(scale * (xf @ xf.swapaxes(-1, -2)))
+    w = _whitener(scale * (xp @ xp.swapaxes(-1, -2)))
+    w_f = _whitener(scale * (xf @ xf.swapaxes(-1, -2)))
     _, singular_values, vt = np.linalg.svd(
-        w_f @ (scale * (xf @ xp.swapaxes(-1, -2))) @ w, full_matrices=False
+        w_f @ (scale * (xf @ xp.swapaxes(-1, -2))) @ w.swapaxes(-1, -2), full_matrices=False
     )
     return CvaModel.from_transforms(
         standardizer, lagged.p, w, vt[..., :r, :].swapaxes(-1, -2), singular_values

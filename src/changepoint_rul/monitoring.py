@@ -116,15 +116,16 @@ def kde_control_limit(samples, alpha: float) -> np.ndarray:
     if not 0.5 < alpha < 1.0:
         raise ConfigError(f"confidence level must lie in (0.5, 1), got {alpha}")
     bandwidth = silverman_bandwidth(rows)
-    degenerate = bandwidth <= 0
+    lo, top = rows.min(axis=1), rows.max(axis=1)
+    # by the range: equal values have a positive deviation when their mean rounds off them
+    degenerate = lo == top
     for _ in range(np.count_nonzero(degenerate)):
         warnings.warn(
             "degenerate statistic sample (zero spread); control limit set to "
             "the common value plus a floor term",
             stacklevel=2,
         )
-    lo = rows.min(axis=1)
-    hi = np.where(degenerate, lo, rows.max(axis=1) + 5.0 * bandwidth)
+    hi = np.where(degenerate, lo, top + 5.0 * bandwidth)
     bandwidth[degenerate] = 1.0  # any width: these rows have hi == lo, so never bisect
 
     def open_rows():

@@ -184,6 +184,26 @@ def test_mistyped_values_rejected(key, value):
         PipelineConfig.from_dict(payload)
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("p", "2"),
+        ("subset", "3"),
+        ("hidden_sizes", 5),
+        ("r", 2.5),
+        ("alpha", "0.99"),
+        ("export_traces", 1),
+        ("data_dir", None),
+    ],
+)
+def test_library_config_is_type_checked(key, value):
+    """A config built in Python gets the type checks a JSON file's values get."""
+    with pytest.raises(ConfigError, match=f"config key '{key}' must be"):
+        default_config("FD001", **{key: value})
+    with pytest.raises(ConfigError, match=f"config key '{key}' must be"):
+        replace(default_config("FD001"), **{key: value})
+
+
 def test_integer_for_float_field_accepted():
     payload = default_config("FD001").to_dict()
     payload["grad_clip"] = 5

@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from changepoint_rul.cva import (
     fit_standardizer,
     project,
 )
-from changepoint_rul.errors import ConfigError, InsufficientDataError, ShapeError
+from changepoint_rul.errors import ConfigError, InsufficientDataError, NumericError, ShapeError
 
 
 def standardized_lagged(seed=0, m=4, n=300, p=2, r=3):
@@ -133,6 +134,70 @@ class TestFitCva:
         assert np.array_equal(m1.w, m2.w)
         assert np.array_equal(m1.vr, m2.vr)
         assert np.array_equal(m1.singular_values, m2.singular_values)
+
+
+def symmetric_reference_statistics(lagged, r, xp_new):
+    """T2 and Q of xp_new's columns under CVA whitened by the symmetric inverse
+    square root of each covariance, with null directions projected out."""
+    scale = 1.0 / (lagged.n_effective - 1)
+
+    def inverse_sqrt(s):
+        eigvals, eigvecs = np.linalg.eigh(s)
+        kept = eigvals > 1e-10 * eigvals[-1]
+        inverse = np.zeros_like(eigvals)
+        inverse[kept] = 1.0 / np.sqrt(eigvals[kept])
+        return (eigvecs * inverse) @ eigvecs.T
+
+    xp, xf = lagged.xp, lagged.xf
+    w, w_f = inverse_sqrt(scale * xp @ xp.T), inverse_sqrt(scale * xf @ xf.T)
+    _, _, vt = np.linalg.svd(w_f @ (scale * xf @ xp.T) @ w)
+    z = vt[:r] @ w @ xp_new
+    e = w @ xp_new - vt[:r].T @ z
+    return (z * z).sum(axis=0), (e * e).sum(axis=0)
+
+
+class TestWhitening:
+    @pytest.mark.parametrize("constant_channel", [False, True])
+    def test_statistics_do_not_depend_on_the_square_root(self, constant_channel):
+        rng = np.random.default_rng(21)
+        n, m, length, p, r = 5, 6, 90, 2, 4
+        x = rng.normal(size=(n, m, length + 40))
+        x[..., 1:] += 0.7 * x[..., :-1]  # lag-1 correlation, so the variates are not trivial
+        if constant_channel:
+            x[:, 2] = 3.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the constant channel's floored scale
+            standardizer = fit_standardizer(x[..., :length])
+        xs = apply_standardizer(standardizer, x)
+        lagged = build_lagged_matrices(xs[..., :length], p)
+        model = fit_cva(lagged, r, standardizer=standardizer)
+        xp_all = build_past_matrix(xs, p)
+        for i in range(n):
+            z, e = project(CvaModel.from_transforms(None, p, model.w[i], model.vr[i], None), xp_all[i])
+            single = LaggedMatrices(xp=lagged.xp[i], xf=lagged.xf[i], p=p)
+            t2, q = symmetric_reference_statistics(single, r, xp_all[i])
+            np.testing.assert_allclose((z * z).sum(axis=0), t2, rtol=1e-8)
+            np.testing.assert_allclose((e * e).sum(axis=0), q, rtol=1e-8)
+
+    def test_whitener_whitens_the_past_covariance(self):
+        model, lagged, _ = standardized_lagged(seed=22)
+        covariance = lagged.xp @ lagged.xp.T / (lagged.n_effective - 1)
+        np.testing.assert_allclose(model.w @ covariance @ model.w.T, np.eye(len(covariance)), atol=1e-8)
+
+    def test_two_identical_channels_fit(self):
+        x = np.random.default_rng(23).normal(size=(3, 60))
+        x = np.vstack([x, x[:1]])  # channel 3 repeats channel 0
+        standardizer = fit_standardizer(x)
+        lagged = build_lagged_matrices(apply_standardizer(standardizer, x), 2)
+        model = fit_cva(lagged, r=3, standardizer=standardizer)
+        z, e = project(model, lagged.xp)
+        assert np.all(np.isfinite(z)) and np.all(np.isfinite(e))
+
+    @pytest.mark.parametrize("fill", [0.0, np.nan])
+    def test_a_window_without_variance_or_finite_values_is_refused(self, fill):
+        xp = np.full((4, 30), fill)
+        with pytest.raises(NumericError):
+            fit_cva(LaggedMatrices(xp=xp, xf=xp.copy(), p=2), r=2)
 
 
 class TestProject:
