@@ -7,9 +7,11 @@
 # Corpus: write_corpus(n_train=20, n_test=8, seed=11, short_every=5) from
 # tests/synthetic.py. Config: FD001 defaults with seed 1, an 8/4-unit LSTM,
 # L=30 and 3 epochs. Commands: detect --traces, train, evaluate,
-# sweep --candidates 100,200, and monitor over every train row, once with the
-# trained checkpoint and once without one. Every artifact and each command's
-# stdout are compared with diff -r; both sides use the same data_dir and a
+# sweep --candidates 100,200, each with --config, and monitor over every train
+# row, once with the trained checkpoint and once without one. monitor takes no
+# config: it reads only the monitor store and the checkpoint, and a parent that
+# still reads one gets the defaults, whose cap the script's config keeps. Every
+# artifact and each command's stdout are compared with diff -r; both sides use the same data_dir and a
 # relative out_dir, so history.json compares whole. stderr is kept beside each tree but not
 # compared, since a warning names the source line that raised it. Then every
 # *.json file of the working tree's outputs must parse as strict JSON: no NaN,
@@ -66,21 +68,22 @@ run() {  # run SIDE SRC LABEL COMMAND [ARGS...]: stdout goes into the side's tre
     local side=$1 src=$2 label=$3
     shift 3
     if ! (cd "$work/$side/tree" && PYTHONPATH="$src" python3 -m changepoint_rul.cli "$@" \
-            --config "$work/config.json" >"stdout/$label.txt" 2>>"$work/$side/stderr.txt"); then
+            >"stdout/$label.txt" 2>>"$work/$side/stderr.txt"); then
         echo "$side: '$*' failed; its stderr:" >&2
         cat "$work/$side/stderr.txt" >&2
         exit 2
     fi
 }
 
+config=(--config "$work/config.json")
 for side in parent change; do
     src="$root/src"
     [ "$side" = parent ] && src="$work/ref/src"
     mkdir -p "$work/$side/tree/stdout"
-    run "$side" "$src" detect detect --traces
-    run "$side" "$src" train train
-    run "$side" "$src" evaluate evaluate
-    run "$side" "$src" sweep sweep --candidates 100,200
+    run "$side" "$src" detect detect --traces "${config[@]}"
+    run "$side" "$src" train train "${config[@]}"
+    run "$side" "$src" evaluate evaluate "${config[@]}"
+    run "$side" "$src" sweep sweep --candidates 100,200 "${config[@]}"
     run "$side" "$src" monitor monitor --monitors out/monitors \
         --checkpoint out/checkpoint.npz --input "$work/records.jsonl"
     run "$side" "$src" monitor_no_checkpoint monitor --monitors out/monitors \

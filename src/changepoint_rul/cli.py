@@ -12,7 +12,7 @@ import os
 import sys
 from contextlib import nullcontext
 
-from .config import default_config, load_config
+from .config import PipelineConfig, default_config, load_config
 from .errors import ConfigError, DataError, PipelineError
 from .pipeline import run_detect, run_evaluate, run_sweep, run_train
 from .streaming import run_monitor
@@ -20,35 +20,14 @@ from .streaming import run_monitor
 log = logging.getLogger("cprul")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file; flags override its values")
-    parser.add_argument("--dataset", help="dataset id (FD001..FD004)")
-    parser.add_argument("--data-dir", help="directory holding the C-MAPSS text files")
-    parser.add_argument("--out-dir", help="directory for reports and artifacts")
-    parser.add_argument("--seed", type=int, help="RNG seed for training and shuffling")
-    parser.add_argument("--subset", type=int, help="use only the first N engines")
-
-
 def _build_config(args):
-    overrides = {}
-    for flag, key in (
-        ("dataset", "dataset_id"),
-        ("data_dir", "data_dir"),
-        ("out_dir", "out_dir"),
-        ("seed", "seed"),
-        ("subset", "subset"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "epochs", None) is not None:
-        overrides["epochs"] = args.epochs
-    if getattr(args, "traces", False):
-        overrides["export_traces"] = True
+    """The config file (or the dataset's defaults) with every flag that names a
+    config field and was given on top."""
+    fields = PipelineConfig.__dataclass_fields__
+    overrides = {k: v for k, v in vars(args).items() if k in fields and v is not None}
     if args.config:
         return load_config(args.config, **overrides)
-    dataset = overrides.pop("dataset_id", "FD001")
-    return default_config(dataset, **overrides)
+    return default_config(**overrides)
 
 
 def _candidates(text: str) -> list:
@@ -72,29 +51,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
+    # Flags land on the PipelineConfig field their dest names; see _build_config.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON config file; flags override its values")
+    common.add_argument("--dataset", dest="dataset_id", help="dataset id (FD001..FD004)")
+    common.add_argument("--data-dir", help="directory holding the C-MAPSS text files")
+    common.add_argument("--out-dir", help="directory for reports and artifacts")
+    common.add_argument("--subset", type=int, help="use only the first N engines")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, help="RNG seed for training and shuffling")
 
-    p_detect = sub.add_parser("detect", help="fit per-engine monitors and change points")
-    _add_common(p_detect)
-    p_detect.add_argument("--traces", action="store_true", help="export per-engine statistic traces")
+    p_detect = sub.add_parser(
+        "detect", parents=[common], help="fit per-engine monitors and change points"
+    )
+    p_detect.add_argument(
+        "--traces",
+        dest="export_traces",
+        action="store_const",
+        const=True,
+        help="export per-engine statistic traces",
+    )
 
-    p_train = sub.add_parser("train", help="train the RUL regressor on piecewise labels")
-    _add_common(p_train)
+    p_train = sub.add_parser(
+        "train", parents=[common, seeded], help="train the RUL regressor on piecewise labels"
+    )
     p_train.add_argument("--epochs", type=int, help="override training epoch count")
 
-    p_eval = sub.add_parser("evaluate", help="score a checkpoint on the test set")
-    _add_common(p_eval)
+    p_eval = sub.add_parser("evaluate", parents=[common], help="score a checkpoint on the test set")
     p_eval.add_argument("--checkpoint", help="checkpoint path (default: <out-dir>/checkpoint.npz)")
 
     p_mon = sub.add_parser("monitor", help="stream per-cycle records through fitted monitors")
-    _add_common(p_mon)
     p_mon.add_argument("--monitors", required=True, help="monitors directory from a detect run")
     p_mon.add_argument("--checkpoint", help="regressor checkpoint for online RUL estimates")
     p_mon.add_argument(
         "--input", default="-", help="line-delimited JSON records file, or - for stdin"
     )
 
-    p_sweep = sub.add_parser("sweep", help="repeat the pipeline over minimum-lifespan candidates")
-    _add_common(p_sweep)
+    p_sweep = sub.add_parser(
+        "sweep",
+        parents=[common, seeded],
+        help="repeat the pipeline over minimum-lifespan candidates",
+    )
     p_sweep.add_argument(
         "--candidates",
         required=True,
@@ -110,6 +107,15 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
+        if args.command == "monitor":  # reads only its monitor store and checkpoint
+            # as on stdin, undecodable bytes reach process_line as surrogates
+            source = nullcontext(sys.stdin) if args.input == "-" else open(
+                args.input, encoding="utf-8", errors="surrogateescape"
+            )
+            with source as fh:
+                n = run_monitor(args.monitors, fh, sys.stdout, checkpoint_path=args.checkpoint)
+            log.info("emitted %d events", n)
+            return 0
         config = _build_config(args)
         if args.command == "detect":
             _, summary = run_detect(config)
@@ -126,20 +132,6 @@ def main(argv=None) -> int:
             )
         elif args.command == "evaluate":
             run_evaluate(config, checkpoint_path=args.checkpoint)
-        elif args.command == "monitor":
-            # as on stdin, undecodable bytes reach process_line as surrogates
-            source = nullcontext(sys.stdin) if args.input == "-" else open(
-                args.input, encoding="utf-8", errors="surrogateescape"
-            )
-            with source as fh:
-                n = run_monitor(
-                    args.monitors,
-                    fh,
-                    sys.stdout,
-                    checkpoint_path=args.checkpoint,
-                    rul_cap=float(config.fallback_cap),
-                )
-            log.info("emitted %d events", n)
         elif args.command == "sweep":
             rows = run_sweep(config, _candidates(args.candidates))
             for row in rows:

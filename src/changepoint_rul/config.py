@@ -92,6 +92,8 @@ class PipelineConfig:
             value = getattr(self, name)
             if not _FIELD_CHECKS[field.type](value):
                 raise ConfigError(f"config key {name!r} must be {field.type}, got {value!r}")
+            if isinstance(value, list):  # stored as a tuple: equal to one, and hashable
+                object.__setattr__(self, name, tuple(value))
         if self.dataset_id not in DATASETS:
             raise ConfigError(f"unknown dataset id {self.dataset_id!r}")
         if self.p < 1:
@@ -127,8 +129,8 @@ class PipelineConfig:
         """The training settings in the form ``lstm.train`` takes."""
         return TrainConfig(
             sequence_length=self.sequence_length,
-            hidden_sizes=tuple(self.hidden_sizes),
-            dropout_ratios=tuple(self.dropout_ratios),
+            hidden_sizes=self.hidden_sizes,
+            dropout_ratios=self.dropout_ratios,
             learning_rate=self.learning_rate,
             epochs=self.epochs,
             batch_size=self.batch_size,
@@ -150,13 +152,10 @@ class PipelineConfig:
         unknown = set(payload) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        payload = dict(payload)
         for key, value in payload.items():
-            kind = cls.__dataclass_fields__[key].type
             if not _is_finite(value):
+                kind = cls.__dataclass_fields__[key].type
                 raise ConfigError(f"config key {key!r} must be {kind}, got {value!r}")
-            if kind.startswith("tuple") and isinstance(value, list):
-                payload[key] = tuple(value)
         return cls(**payload)
 
 

@@ -493,8 +493,9 @@ def load_checkpoint(path):
     """Load (model, meta) from a checkpoint written by save_checkpoint.
 
     The parameters keep their stored dtype, which must be float32 for all of
-    them or float64 for all of them. A file that is not such a checkpoint is
-    an IntegrityError naming the path.
+    them or float64 for all of them, and the label cap must be a positive finite
+    number. A file that is not such a checkpoint is an IntegrityError naming
+    the path.
     """
     try:
         with np.load(path) as payload:  # a .npy file loads as an array: TypeError
@@ -505,12 +506,15 @@ def load_checkpoint(path):
         version = header.get("version")
         if version != 2:
             raise IntegrityError(f"unsupported checkpoint version {version}")
+        cap = header["label_cap"]  # the stream clips its estimates at it
+        if type(cap) not in (int, float) or not 0 < cap < float("inf"):  # a NaN fails too
+            raise ValueError(f"label_cap must be a positive finite number, got {cap!r}")
         template = init_regressor(
             header["input_dim"],
             header["hidden_sizes"],
             header["dropout_ratios"],
             seed=header["seed"],
-            label_cap=header["label_cap"],
+            label_cap=cap,
             sequence_length=header.get("sequence_length"),
         )
     except (ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile, ConfigError) as exc:

@@ -207,16 +207,16 @@ def build_training_data(config: PipelineConfig, engines, outcomes):
     return pooled, WindowedDataset.concatenate(parts)
 
 
-def run_train(config: PipelineConfig, engines=None, outcomes=None, write: bool = True):
+def run_train(config: PipelineConfig, engines=None, outcomes=None):
     """Train the windowed regressor on change-point-informed labels.
 
     Runs detection on these engines unless their outcomes are given, so a
-    change-point report already under out_dir is never read. Returns
-    (model, history, meta).
+    change-point report already under out_dir is never read. Writes
+    checkpoint.npz and history.json under out_dir; returns (model, history, meta).
     """
     selection, selected = _selected_train_engines(config, engines)
     if outcomes is None:
-        outcomes, _ = run_detect(config, engines=selected, write=write)
+        outcomes, _ = run_detect(config, engines=selected)
 
     pooled, windowed = build_training_data(config, selected, outcomes)
     model, history = train(windowed, config.train_config())
@@ -228,12 +228,11 @@ def run_train(config: PipelineConfig, engines=None, outcomes=None, write: bool =
         "n_windows": len(windowed),
         "seed": config.seed,
     }
-    if write:
-        os.makedirs(config.out_dir, exist_ok=True)
-        save_checkpoint(model, os.path.join(config.out_dir, "checkpoint.npz"), meta=meta)
-        trained = {"epoch_mse": history, "config": config.to_dict()}
-        _write_json(os.path.join(config.out_dir, "history.json"), trained)
-        log.info("checkpoint written to %s", os.path.join(config.out_dir, "checkpoint.npz"))
+    os.makedirs(config.out_dir, exist_ok=True)
+    save_checkpoint(model, os.path.join(config.out_dir, "checkpoint.npz"), meta=meta)
+    trained = {"epoch_mse": history, "config": config.to_dict()}
+    _write_json(os.path.join(config.out_dir, "history.json"), trained)
+    log.info("checkpoint written to %s", os.path.join(config.out_dir, "checkpoint.npz"))
     return model, history, meta
 
 
@@ -262,7 +261,9 @@ def read_checkpoint(path):
 
 
 def run_evaluate(config: PipelineConfig, checkpoint_path=None, write: bool = True):
-    """Score a checkpoint over the test set; returns the EvalReport."""
+    """Score a checkpoint over the test set; returns the EvalReport. Estimates
+    are clipped, and truths capped, at the config's fallback_cap: the scoring
+    protocol's cap, whatever cap the checkpoint was trained with."""
     if checkpoint_path is None:
         checkpoint_path = os.path.join(config.out_dir, "checkpoint.npz")
     model, kept, pooled = read_checkpoint(checkpoint_path)
@@ -287,7 +288,7 @@ def run_evaluate(config: PipelineConfig, checkpoint_path=None, write: bool = Tru
     return report
 
 
-def run_sweep(config: PipelineConfig, candidates, write: bool = True):
+def run_sweep(config: PipelineConfig, candidates):
     """Full pipeline per candidate minimum lifespan. A candidate below the
     first monitorable lifespan is recorded as not applicable; one above every
     lifespan puts all engines on the fallback cap, the uniform-cap arm."""
@@ -308,9 +309,9 @@ def run_sweep(config: PipelineConfig, candidates, write: bool = True):
             continue
         sub_dir = os.path.join(config.out_dir, f"sweep_{candidate}")
         sub_cfg = replace(config, min_lifespan=int(candidate), out_dir=sub_dir)
-        outcomes, summary = run_detect(sub_cfg, engines=engines, write=write)
-        run_train(sub_cfg, engines=engines, outcomes=outcomes, write=True)
-        report = run_evaluate(sub_cfg, write=write)
+        outcomes, summary = run_detect(sub_cfg, engines=engines)
+        run_train(sub_cfg, engines=engines, outcomes=outcomes)
+        report = run_evaluate(sub_cfg)
         rows.append(
             {
                 "min_lifespan": candidate,
@@ -321,8 +322,7 @@ def run_sweep(config: PipelineConfig, candidates, write: bool = True):
                 "sf": report.sf,
             }
         )
-    if write:
-        _write_json(os.path.join(config.out_dir, "sweep.json"), rows)
-        cells = ([row["min_lifespan"], row.get("rmse", "NA"), row.get("sf", "NA")] for row in rows)
-        _write_csv(os.path.join(config.out_dir, "sweep.csv"), ("min_lifespan", "rmse", "sf"), cells)
+    _write_json(os.path.join(config.out_dir, "sweep.json"), rows)
+    cells = ([row["min_lifespan"], row.get("rmse", "NA"), row.get("sf", "NA")] for row in rows)
+    _write_csv(os.path.join(config.out_dir, "sweep.csv"), ("min_lifespan", "rmse", "sf"), cells)
     return rows

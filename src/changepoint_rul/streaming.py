@@ -49,7 +49,12 @@ class DeviceStreamState:
 
 
 class StreamMonitor:
-    """Routes cycle records to per-device state and emits events."""
+    """Routes cycle records to per-device state and emits events.
+
+    With a regressor, each degrading cycle's RUL estimate is clipped to
+    [0, rul_cap]; a None cap is the regressor's own ``label_cap``, the cap of
+    the labels it was trained on.
+    """
 
     def __init__(
         self,
@@ -57,7 +62,7 @@ class StreamMonitor:
         kept_indices,
         regressor: LstmRegressor | None = None,
         pooled: Standardizer | None = None,
-        rul_cap: float = 130.0,
+        rul_cap: float | None = None,
     ):
         self.monitors = monitors
         self.columns = np.asarray(kept_indices, dtype=int) - 1
@@ -187,14 +192,10 @@ def _is_reading(value) -> bool:
     return isinstance(value, float) or _is_int(value)
 
 
-def run_monitor(
-    monitors_dir,
-    input_lines,
-    out_fh,
-    checkpoint_path=None,
-    rul_cap: float = 130.0,
-):
-    """Stream records through the monitor, writing one JSON event per line."""
+def run_monitor(monitors_dir, input_lines, out_fh, checkpoint_path=None):
+    """Stream records through the monitor store of a detect run, writing one
+    JSON event per line. With a train checkpoint, RUL estimates are clipped at
+    the checkpoint's label cap, which ``train`` sets from ``fallback_cap``."""
     monitors, manifest = load_monitors(monitors_dir)
     regressor = pooled = None
     if checkpoint_path is not None:
@@ -204,13 +205,7 @@ def run_monitor(
                 f"checkpoint sensors {list(kept)} differ from the monitor "
                 f"manifest's {manifest['kept_indices']}"
             )
-    stream = StreamMonitor(
-        monitors,
-        manifest["kept_indices"],
-        regressor=regressor,
-        pooled=pooled,
-        rul_cap=rul_cap,
-    )
+    stream = StreamMonitor(monitors, manifest["kept_indices"], regressor=regressor, pooled=pooled)
     n_events = 0
     for line in input_lines:
         if not line.strip():

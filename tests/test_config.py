@@ -204,6 +204,21 @@ def test_library_config_is_type_checked(key, value):
         replace(default_config("FD001"), **{key: value})
 
 
+def test_list_for_a_tuple_field_is_stored_as_a_tuple():
+    """A config made with lists equals, and hashes as, the same config made
+    with tuples, however it is made."""
+    tuples = default_config("FD001", hidden_sizes=(8, 4), dropout_ratios=(0.1,))
+    lists = dict(hidden_sizes=[8, 4], dropout_ratios=[0.1])
+    made = [
+        default_config("FD001", **lists),
+        PipelineConfig(**lists),
+        replace(default_config("FD001"), **lists),
+    ]
+    for cfg in made:
+        assert cfg == tuples and hash(cfg) == hash(tuples)
+        assert type(cfg.hidden_sizes) is tuple and type(cfg.dropout_ratios) is tuple
+
+
 def test_integer_for_float_field_accepted():
     payload = default_config("FD001").to_dict()
     payload["grad_clip"] = 5

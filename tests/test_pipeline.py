@@ -451,12 +451,14 @@ class TestCli:
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["detect", "--data-dir", str(tmp_path / "nope")]) == 2
 
-    def test_monitor_cli_round_trip(self, corpus, detect_run, trained_run, tmp_path, capsys):
-        data_dir, _ = corpus
-        detect_cfg, outcomes, _, _ = detect_run
-        fitted = [o for o in outcomes if o.monitor is not None][0]
+    @pytest.fixture
+    def life_stream(self, corpus, detect_run, tmp_path):
+        """The first fitted unit's outcome plus a stream of its whole life."""
         from changepoint_rul.cmapss import parse_cmapss_file, train_file
 
+        data_dir, _ = corpus
+        _, outcomes, _, _ = detect_run
+        fitted = [o for o in outcomes if o.monitor is not None][0]
         engines = parse_cmapss_file(open(train_file(data_dir, "FD001")).read())
         series = [e for e in engines if e.unit_id == fitted.unit_id][0]
         records = [
@@ -467,6 +469,11 @@ class TestCli:
         ]
         stream_path = tmp_path / "stream.jsonl"
         stream_path.write_text("\n".join(records) + "\n")
+        return fitted, str(stream_path)
+
+    def test_monitor_cli_round_trip(self, detect_run, trained_run, life_stream, capsys):
+        detect_cfg = detect_run[0]
+        fitted, stream_path = life_stream
         code = main(
             [
                 "monitor",
@@ -475,7 +482,7 @@ class TestCli:
                 "--checkpoint",
                 os.path.join(trained_run[0].out_dir, "checkpoint.npz"),
                 "--input",
-                str(stream_path),
+                stream_path,
             ]
         )
         assert code == 0
@@ -486,6 +493,40 @@ class TestCli:
         ruls = [e for e in lines if e["type"] == "status" and "rul" in e]
         assert ruls, "expected RUL estimates after the change point"
         assert all(0.0 <= e["rul"] <= 130.0 for e in ruls)
+
+    def test_monitor_clips_at_the_checkpoint_label_cap(
+        self, detect_run, trained_run, life_stream, tmp_path, capsys
+    ):
+        """The stream's RUL cap is the one the checkpoint was trained with."""
+        path = tmp_path / "capped.npz"
+        shutil.copy(os.path.join(trained_run[0].out_dir, "checkpoint.npz"), path)
+        _rewrite_header(path, lambda h: dict(h, label_cap=5.0))
+        monitors_dir = os.path.join(detect_run[0].out_dir, "monitors")
+        argv = ["monitor", "--monitors", monitors_dir, "--checkpoint", str(path)]
+        assert main(argv + ["--input", life_stream[1]]) == 0
+        events = map(json.loads, capsys.readouterr().out.splitlines())
+        ruls = [e["rul"] for e in events if "rul" in e]
+        assert ruls and max(ruls) == 5.0 and min(ruls) >= 0.0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["monitor", "--monitors", "monitors", "--config", "cfg.json"],
+            ["monitor", "--monitors", "monitors", "--dataset", "FD001"],
+            ["detect", "--seed", "1"],
+            ["evaluate", "--seed", "1"],
+        ],
+        ids=["monitor_config", "monitor_dataset", "detect_seed", "evaluate_seed"],
+    )
+    def test_flag_the_command_does_not_read_is_a_usage_error(
+        self, tmp_path, monkeypatch, capsys, argv
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
 
     @pytest.fixture
     def one_record(self, corpus, detect_run, tmp_path):
@@ -718,8 +759,19 @@ class TestCli:
             lambda path, _: path.write_bytes(b""),
             lambda path, _: _rewrite_header(path, lambda h: _without(h, "input_dim")),
             lambda path, _: _rewrite_header(path, lambda h: dict(h, meta=_without(h["meta"], "pooled_std"))),
+            *[
+                lambda path, _, cap=cap: _rewrite_header(path, lambda h: dict(h, label_cap=cap))
+                for cap in ("130", True, 0, -1, float("nan"), float("inf"))
+            ],
         ],
-        ids=["text", "truncated", "empty", "header_without_input_dim", "meta_without_pooled_std"],
+        ids=[
+            "text",
+            "truncated",
+            "empty",
+            "header_without_input_dim",
+            "meta_without_pooled_std",
+            *(f"label_cap_{name}" for name in ("text", "true", "zero", "negative", "nan", "inf")),
+        ],
     )
     def test_corrupt_checkpoint_exits_2(self, trained_run, one_record, tmp_path, capsys, corrupt):
         cfg = trained_run[0]
