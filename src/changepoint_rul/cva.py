@@ -230,8 +230,6 @@ def project(model: CvaModel, xp_new: np.ndarray):
     model's own Standardizer.
     """
     xp_new = np.asarray(xp_new, dtype=float)
-    if xp_new.ndim == 1:
-        xp_new = xp_new[:, None]
     if xp_new.shape[0] != model.w.shape[0]:
         raise ShapeError(
             f"past vectors have {xp_new.shape[0]} rows, model expects {model.w.shape[0]}"

@@ -3,10 +3,10 @@
 Matrices in this module are cycle-major: (N, m) with one row per cycle, the
 orientation the windowed regressor consumes.
 
-A training set holds each engine's standardized rows once, stacked into one
-array, plus the start row of every window. A batch's (B, L, m) windows are
-gathered when it is indexed, so the (n, L, m) tensor, which repeats each row
-up to L times, is never built.
+A training set holds the fleet's standardized rows once, every series
+stacked into one array, plus the start row of every window; no window spans
+two series. A batch's (B, L, m) windows are gathered when it is indexed, so
+the (n, L, m) tensor, which repeats each row up to L times, is never built.
 """
 
 from __future__ import annotations
@@ -28,13 +28,14 @@ def piecewise_rul_labels(
     decay to zero; index i holds the label of cycle i + 1.
 
     With a change point the cap is the remaining life at that point,
-    y_max = k_max - k_cp; without one the fixed fallback cap applies.
+    y_max = k_max - k_cp, so a change point at the last cycle gives all-zero
+    labels; without one the fixed fallback cap applies.
     """
     if k_max < 1:
         raise IntegrityError(f"lifespan must be >= 1, got {k_max}")
     if k_cp is not None:
-        if not 1 <= k_cp < k_max:
-            raise IntegrityError(f"change point {k_cp} must lie in 1..{k_max - 1}")
+        if not 1 <= k_cp <= k_max:
+            raise IntegrityError(f"change point {k_cp} must lie in 1..{k_max}")
         y_max = k_max - k_cp
     else:
         y_max = fallback_cap
@@ -104,52 +105,39 @@ class WindowedDataset:
     def n_channels(self) -> int:
         return self.windows.shape[2]
 
-    @classmethod
-    def concatenate(cls, parts) -> "WindowedDataset":
-        """Join datasets from ``sliding_windows``: their rows are stacked once
-        and each part's window starts shifted past the rows before it."""
-        parts = list(parts)
-        if not parts:
-            raise InsufficientDataError("no windowed data to concatenate")
-        views = [p.windows for p in parts]
-        offsets = np.cumsum([0] + [len(v.rows) for v in views[:-1]])
-        return cls(
-            windows=WindowView(
-                np.concatenate([v.rows for v in views]),
-                np.concatenate([v.starts + offset for v, offset in zip(views, offsets)]),
-                views[0].length,
-            ),
-            targets=np.concatenate([p.targets for p in parts]),
-            units=np.concatenate([p.units for p in parts]),
-            end_cycles=np.concatenate([p.end_cycles for p in parts]),
-        )
 
+def sliding_windows(rows: np.ndarray, labels, length: int, units) -> WindowedDataset:
+    """Cut a fleet's stacked (R, m) rows into length-L windows, none spanning
+    two series.
 
-def sliding_windows(
-    x: np.ndarray, labels: np.ndarray, length: int, unit_id: int = 0
-) -> WindowedDataset:
-    """Cut a (N, m) matrix into length-L windows ending at cycles L..N.
-
-    The windows are a view over a private C-contiguous copy of ``x``, with
-    one start row per window. The target of each window is the label at its
-    final cycle. Raises InsufficientDataError when the series is shorter
-    than one window; the pipeline skips such devices with a warning.
+    ``rows`` stacks every series' rows, one C-contiguous float array that the
+    windows view (anything else is converted first); ``labels`` holds one label
+    array per series, whose lengths split ``rows`` into series, and ``units``
+    one unit id per series. A series of N cycles gives the windows ending at
+    its cycles L..N, each targeting the label at its final cycle; one shorter
+    than a window gives none. Raises InsufficientDataError when no series gives
+    a window.
     """
-    x = np.array(x, dtype=float, order="C")
-    labels = np.asarray(labels)
-    n = x.shape[0]
-    if labels.shape[0] != n:
-        raise IntegrityError(f"{n} cycles but {labels.shape[0]} labels")
+    rows = np.ascontiguousarray(rows, dtype=float)
+    lengths = np.array([len(y) for y in labels], dtype=int)
+    if lengths.sum() != rows.shape[0] or len(units) != len(lengths):
+        raise IntegrityError(
+            f"{rows.shape[0]} rows, {lengths.sum()} labels in {len(lengths)} series "
+            f"and {len(units)} unit ids do not pair"
+        )
     if length < 1:
         raise IntegrityError("window length must be >= 1")
-    if n < length:
-        raise InsufficientDataError(f"unit {unit_id}: {n} cycles < window length {length}")
-    ends = np.arange(length, n + 1)
+    counts = np.maximum(lengths - length + 1, 0)
+    if not counts.any():
+        raise InsufficientDataError(f"no series holds one window of {length} cycles")
+    series = np.repeat(np.arange(len(lengths)), counts)
+    ends = np.concatenate([np.arange(length, n + 1) for n in lengths])
+    last_rows = (np.cumsum(lengths) - lengths)[series] + ends - 1
     return WindowedDataset(
-        windows=WindowView(x, ends - length, length),
-        targets=labels[ends - 1].astype(float),
-        units=np.full(len(ends), unit_id, dtype=int),
-        end_cycles=ends.astype(int),
+        windows=WindowView(rows, last_rows - (length - 1), length),
+        targets=np.concatenate(labels)[last_rows].astype(float),
+        units=np.asarray(units, dtype=int)[series],
+        end_cycles=ends,
     )
 
 

@@ -19,10 +19,9 @@ import numpy as np
 
 from . import cmapss
 from .config import PipelineConfig
-from .cva import Standardizer, apply_standardizer
+from .cva import Standardizer
 from .errors import ConfigError, InsufficientDataError, IntegrityError, NumericError
 from .labeling import (
-    WindowedDataset,
     piecewise_rul_labels,
     pooled_standardizer,
     sliding_windows,
@@ -91,6 +90,12 @@ def _load_split(config: PipelineConfig, split: str):
     targets = cmapss.load_rul_targets(rul_text, config.dataset_id, expected_count=len(engines))
     unit_ids = {s.unit_id for s in kept}
     return kept, [t for t in targets if t.unit_id in unit_ids]
+
+
+def _empty_train_log(config: PipelineConfig) -> InsufficientDataError:
+    """The error of a command that trains on a train log holding no engines."""
+    path = cmapss.train_file(config.data_dir, config.dataset_id)
+    return InsufficientDataError(f"{path} holds no engines to train on")
 
 
 def _selected_train_engines(config: PipelineConfig, engines):
@@ -179,32 +184,31 @@ def _pre_cp_reference(k_max: int, k_cp: int | None, config: PipelineConfig) -> i
 
 
 def build_training_data(config: PipelineConfig, engines, outcomes):
-    """Pooled pre-change-point standardizer plus stacked training windows."""
-    cp_by_unit = {o.unit_id: o for o in outcomes}
-    segments = []
-    for series in engines:
-        outcome = cp_by_unit[series.unit_id]
-        ref = _pre_cp_reference(series.k_max, outcome.k_cp, config)
-        segments.append(np.asarray(series.sensors, dtype=float)[:ref])
-    pooled = pooled_standardizer(segments)
+    """Pooled pre-change-point standardizer plus the fleet's training windows.
 
-    parts = []
-    skipped = []
-    for series in engines:
-        outcome = cp_by_unit[series.unit_id]
-        labels = piecewise_rul_labels(series.k_max, outcome.k_cp, config.fallback_cap)
-        x = apply_standardizer(pooled, np.asarray(series.sensors, dtype=float).T).T
-        try:
-            parts.append(
-                sliding_windows(x, labels, config.sequence_length, unit_id=series.unit_id)
-            )
-        except InsufficientDataError:
-            skipped.append(series.unit_id)
+    Every engine's rows are stacked into one copy, standardized in place, and
+    cut into windows by one sliding_windows call; an engine shorter than one
+    window gives none and is named in a warning.
+    """
+    cp_by_unit = {o.unit_id: o.k_cp for o in outcomes}
+    k_cps = [cp_by_unit[s.unit_id] for s in engines]
+    pooled = pooled_standardizer(
+        s.sensors[: _pre_cp_reference(s.k_max, k_cp, config)] for s, k_cp in zip(engines, k_cps)
+    )
+    skipped = [s.unit_id for s in engines if s.k_max < config.sequence_length]
     if skipped:
         log.warning(
             "skipped %d engine(s) shorter than one window: %s", len(skipped), skipped
         )
-    return pooled, WindowedDataset.concatenate(parts)
+    rows = np.concatenate([s.sensors for s in engines], dtype=float)
+    rows -= pooled.mean
+    rows /= pooled.std
+    labels = [
+        piecewise_rul_labels(s.k_max, k_cp, config.fallback_cap)
+        for s, k_cp in zip(engines, k_cps)
+    ]
+    units = [s.unit_id for s in engines]
+    return pooled, sliding_windows(rows, labels, config.sequence_length, units)
 
 
 def run_train(config: PipelineConfig, engines=None, outcomes=None):
@@ -215,6 +219,8 @@ def run_train(config: PipelineConfig, engines=None, outcomes=None):
     checkpoint.npz and history.json under out_dir; returns (model, history, meta).
     """
     selection, selected = _selected_train_engines(config, engines)
+    if not selected:
+        raise _empty_train_log(config)
     if outcomes is None:
         outcomes, _ = run_detect(config, engines=selected)
 
@@ -267,16 +273,15 @@ def run_evaluate(config: PipelineConfig, checkpoint_path=None, write: bool = Tru
     if checkpoint_path is None:
         checkpoint_path = os.path.join(config.out_dir, "checkpoint.npz")
     model, kept, pooled = read_checkpoint(checkpoint_path)
-    selection = cmapss.SensorSelection(dataset_id=config.dataset_id, kept_indices=kept)
     test_engines, targets = _load_split(config, "test")
-    windows = [
-        trailing_window(
-            apply_standardizer(pooled, cmapss.apply_selection(s, selection).sensors.T).T,
-            model.sequence_length,
-        )
-        for s in test_engines
-    ]
-    estimates = predict_batch(model, np.stack(windows), cap=float(config.fallback_cap))
+    columns = np.asarray(kept) - 1
+    # only the scored rows are standardized; padding repeats a raw first cycle
+    windows = np.stack(
+        [trailing_window(s.sensors[:, columns], model.sequence_length) for s in test_engines]
+    )
+    windows -= pooled.mean
+    windows /= pooled.std
+    estimates = predict_batch(model, windows, cap=float(config.fallback_cap))
     predictions = {s.unit_id: float(y) for s, y in zip(test_engines, estimates)}
     report = evaluate_predictions(
         predictions, targets, cap=float(config.fallback_cap), dataset_id=config.dataset_id
@@ -295,6 +300,8 @@ def run_sweep(config: PipelineConfig, candidates):
     if not candidates:
         raise ConfigError("sweep needs at least one candidate minimum lifespan")
     engines, _ = _load_split(config, "train")  # read once for every candidate
+    if not engines:
+        raise _empty_train_log(config)
     rows = []
     min_monitorable = config.first_monitored_cycle + 1
     for candidate in candidates:

@@ -7,7 +7,6 @@ import pytest
 from changepoint_rul.config import default_config
 from changepoint_rul.errors import InsufficientDataError, IntegrityError
 from changepoint_rul.labeling import (
-    WindowedDataset,
     piecewise_rul_labels,
     pooled_standardizer,
     sliding_windows,
@@ -53,9 +52,14 @@ class TestPiecewiseLabels:
 
     def test_invalid_change_point(self):
         with pytest.raises(IntegrityError):
-            piecewise_rul_labels(100, 100)
+            piecewise_rul_labels(100, 101)
         with pytest.raises(IntegrityError):
             piecewise_rul_labels(100, 0)
+
+    def test_change_point_at_last_cycle_gives_zero_labels(self):
+        # the detector's range: a breach run that starts at the final cycle
+        labels = piecewise_rul_labels(100, 100)
+        np.testing.assert_array_equal(labels, np.zeros(100))
 
 
 class TestPooledStandardizer:
@@ -73,14 +77,14 @@ class TestSlidingWindows:
     def test_window_count(self):
         x = np.arange(60 * 2, dtype=float).reshape(60, 2)
         labels = np.arange(60)[::-1]
-        ds = sliding_windows(x, labels, 50)
+        ds = sliding_windows(x, [labels], 50, [0])
         assert len(ds) == 11
         assert ds.windows.shape == (11, 50, 2)
 
     def test_single_window_boundary(self):
         x = np.arange(50 * 2, dtype=float).reshape(50, 2)
         labels = np.arange(50)[::-1]
-        ds = sliding_windows(x, labels, 50)
+        ds = sliding_windows(x, [labels], 50, [0])
         assert len(ds) == 1
         assert ds.targets[0] == labels[49]
         assert ds.end_cycles[0] == 50
@@ -88,23 +92,47 @@ class TestSlidingWindows:
     def test_end_of_life_window_target_zero(self):
         labels = piecewise_rul_labels(344, 240)
         x = np.zeros((344, 3))
-        ds = sliding_windows(x, labels, 50, unit_id=116)
+        ds = sliding_windows(x, [labels], 50, [116])
         assert ds.targets[-1] == 0.0
         assert ds.end_cycles[-1] == 344
+        assert set(ds.units.tolist()) == {116}
 
     def test_consecutive_windows_overlap(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(40, 3))
-        ds = sliding_windows(x, np.zeros(40), 10)
+        ds = sliding_windows(x, [np.zeros(40)], 10, [0])
         np.testing.assert_array_equal(ds.windows[0][1:], ds.windows[1][:-1])
 
     def test_too_short_series_raises(self):
         with pytest.raises(InsufficientDataError):
-            sliding_windows(np.zeros((10, 2)), np.zeros(10), 20)
+            sliding_windows(np.zeros((10, 2)), [np.zeros(10)], 20, [0])
 
     def test_label_length_mismatch(self):
         with pytest.raises(IntegrityError):
-            sliding_windows(np.zeros((10, 2)), np.zeros(9), 5)
+            sliding_windows(np.zeros((10, 2)), [np.zeros(9)], 5, [0])
+        with pytest.raises(IntegrityError):
+            sliding_windows(np.zeros((10, 2)), [np.zeros(4), np.zeros(6)], 5, [0])
+
+    def test_fleet_without_a_full_window_raises(self):
+        with pytest.raises(InsufficientDataError):
+            sliding_windows(np.zeros((25, 2)), [np.zeros(10), np.zeros(15)], 20, [1, 2])
+        with pytest.raises(InsufficientDataError):
+            sliding_windows(np.zeros((0, 2)), [], 5, [])
+
+    def test_no_window_spans_two_series(self):
+        # three series of 12, 3 and 8 cycles; every row holds its series' unit
+        lengths, unit_ids, length = (12, 3, 8), (7, 8, 9), 5
+        x = np.repeat(np.array(unit_ids, dtype=float), lengths)[:, None] * [1.0, -1.0]
+        labels = [np.arange(n)[::-1] + 100 * u for n, u in zip(lengths, unit_ids)]
+        ds = sliding_windows(x, labels, length, unit_ids)
+        assert len(ds) == (12 - 4) + 0 + (8 - 4)
+        np.testing.assert_array_equal(ds.units, [7] * 8 + [9] * 4)
+        np.testing.assert_array_equal(ds.end_cycles, list(range(5, 13)) + list(range(5, 9)))
+        expected = [712 - e for e in range(5, 13)] + [908 - e for e in range(5, 9)]
+        np.testing.assert_array_equal(ds.targets, expected)
+        owners = ds.windows[:][:, :, 0]
+        np.testing.assert_array_equal(owners, np.repeat(ds.units[:, None], length, axis=1))
+        assert ds.windows.rows is x  # viewed, not copied
 
 
 class TestTrailingWindow:
@@ -117,11 +145,6 @@ class TestTrailingWindow:
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
         w = trailing_window(x, 4)
         np.testing.assert_array_equal(w, [[1, 2], [1, 2], [1, 2], [3, 4]])
-
-
-def test_concatenate_requires_parts():
-    with pytest.raises(InsufficientDataError):
-        WindowedDataset.concatenate([])
 
 
 @pytest.fixture(scope="module")

@@ -14,6 +14,8 @@ from changepoint_rul import cmapss
 from changepoint_rul.cli import main
 from changepoint_rul.config import default_config
 from changepoint_rul.errors import NumericError
+from changepoint_rul.labeling import trailing_window
+from changepoint_rul.lstm import predict_batch
 from changepoint_rul.metrics import evaluate_predictions
 from changepoint_rul.monitoring import REPORT_COLUMNS
 from changepoint_rul.pipeline import (
@@ -25,7 +27,7 @@ from changepoint_rul.pipeline import (
     run_train,
 )
 
-from synthetic import write_corpus
+from synthetic import make_engine_series, write_corpus
 
 
 def constant_cap_baseline(cfg):
@@ -251,7 +253,40 @@ class TestTrain:
         assert (stale / report).read_bytes() == (fresh / report).read_bytes()
 
 
+    def test_change_point_at_the_last_cycle_trains(self, tmp_path):
+        # healthy 230-cycle engines: the first is detected at its final cycle
+        engines = [make_engine_series(s + 1, 230, None, seed=s, n_channels=14) for s in range(3)]
+        cfg = default_config(
+            "FD001", r=5, out_dir=str(tmp_path), seed=1, **dict(SMALL_NET, epochs=1)
+        )
+        outcomes, _ = run_detect(cfg, engines=engines, write=False)
+        assert outcomes[0].k_cp == 230
+        _, _, meta = run_train(cfg, engines=engines, outcomes=outcomes)
+        assert meta["n_windows"] == 3 * (230 - cfg.sequence_length + 1)
+
+
 class TestEvaluate:
+    def test_estimates_equal_standardizing_each_whole_life(self, corpus, trained_run, tmp_path):
+        # unit 1 cut to 10 cycles, so its window is padded
+        lines = open(os.path.join(corpus[0], "test_FD001.txt")).read().splitlines(keepends=True)
+        kept = [line for line in lines if line.split()[0] != "1" or int(line.split()[1]) <= 10]
+        (tmp_path / "test_FD001.txt").write_text("".join(kept))
+        shutil.copy(os.path.join(corpus[0], "RUL_FD001.txt"), tmp_path)
+        # reference: select, standardize the whole life, then take the last window
+        cfg, model, _, meta = trained_run
+        cfg = replace(cfg, data_dir=str(tmp_path))
+        test_engines, _ = _load_split(cfg, "test")
+        columns = np.asarray(meta["kept_indices"]) - 1
+        mean, std = np.asarray(meta["pooled_mean"]), np.asarray(meta["pooled_std"])
+        windows = [
+            trailing_window((s.sensors[:, columns] - mean) / std, cfg.sequence_length)
+            for s in test_engines
+        ]
+        assert min(s.k_max for s in test_engines) < cfg.sequence_length  # one is padded
+        expected = predict_batch(model, np.stack(windows), cap=float(cfg.fallback_cap))
+        report = run_evaluate(cfg, write=False)
+        assert [row.predicted_rul for row in report.per_engine] == expected.tolist()
+
     def test_report_covers_every_test_engine(self, corpus, trained_run):
         data_dir, _ = corpus
         cfg, _, _, _ = trained_run
@@ -444,6 +479,18 @@ class TestCli:
         assert main(["train", "--config", str(cfg_path), "--epochs", "1"]) == 0
         history = json.loads((out_dir / "history.json").read_text())
         assert len(history["epoch_mse"]) == 1 and history["config"]["epochs"] == 1
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_empty_train_log_exits_2_before_writing(self, tmp_path, capsys, command):
+        data_dir, out_dir = tmp_path / "data", tmp_path / "out"
+        data_dir.mkdir()
+        (data_dir / "train_FD001.txt").write_text("")
+        argv = [command, "--data-dir", str(data_dir), "--out-dir", str(out_dir)]
+        argv += ["--candidates", "200"] if command == "sweep" else []
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "train_FD001.txt holds no engines" in err
+        assert not out_dir.exists()
 
     def test_config_error_exit_code(self, capsys):
         assert main(["detect", "--dataset", "FD009"]) == 1
