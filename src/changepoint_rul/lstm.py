@@ -24,6 +24,14 @@ training one stacked GEMM projects every step's inputs ahead of the recurrence
 (4h, B) buffer with the same per-step GEMM; a single window keeps its one
 (L, d) @ (d, 4h) GEMM.
 
+``predict``, the stream's per-record estimate, runs one window through its own
+batch-1 loop on 1-D buffers made once per layer: the same single GEMM, then
+per step one GEMV into a reused buffer and one tanh over all 4h rows. The
+sigmoid rows' pre-activations are halved first, as sigmoid(x) =
+0.5 * (1 + tanh(x / 2)); halving is exact and commutes with rounding, so the
+estimate is bit for bit ``predict_batch``'s on that window. The one exception
+is a halved operand below the smallest normal number (float32: 1.2e-38).
+
 The training cache holds only what the backward reads: per layer the unmasked
 inputs (above the first, the lower layer's hidden states), the bool dropout
 mask, gates, cells and hidden states. The backward recomputes tanh(c) and the
@@ -218,6 +226,8 @@ def _forward_batch(model: LstmRegressor, x: np.ndarray, training: bool, rng, kee
             f"window batch of shape {x.shape} does not match input dim {model.input_dim}"
         )
     batch, steps, _ = x.shape
+    if steps == 0:
+        raise InsufficientDataError("a window needs at least one cycle")
     cache = []
     inputs = np.ascontiguousarray(x.transpose(1, 2, 0))
     for idx, layer in enumerate(model.layers):
@@ -465,11 +475,58 @@ def predict_batch(model: LstmRegressor, windows: np.ndarray, cap: float | None =
 
 
 def predict(model: LstmRegressor, window: np.ndarray, cap: float | None = None) -> float:
-    """Inference-mode estimate for one (L, m) window, clamped to [0, cap]."""
+    """Inference-mode estimate for one (L, m) window, clamped to [0, cap].
+
+    A batch-1 loop on 1-D buffers that halves the sigmoid rows of the input
+    projection and of each step's ``wh @ h[t-1]``, then takes one tanh over all
+    4h rows (module docstring). Its estimate is bit for bit ``predict_batch``'s
+    on the window alone, unless a halved operand falls below the smallest normal.
+    """
+    if cap is None:
+        cap = model.label_cap
     window = np.asarray(window, dtype=float)
     if window.ndim != 2:
         raise ShapeError(f"expected an (L, m) window, got shape {window.shape}")
-    return float(predict_batch(model, window[None, :, :], cap)[0])
+    dtype = model.dtype
+    inputs = np.ascontiguousarray(_cast(window, dtype, "windows"))
+    if inputs.shape[1] != model.input_dim:
+        raise ShapeError(
+            f"window batch of shape {(1, *inputs.shape)} does not match input dim {model.input_dim}"
+        )
+    if len(inputs) == 0:
+        raise InsufficientDataError("a window needs at least one cycle")
+    for idx, layer in enumerate(model.layers):
+        h = layer.hidden_size
+        half = np.full(4 * h, 0.5, dtype)
+        half[3 * h :] = 1.0
+        gates = inputs @ layer.wx.T
+        gates += layer.b
+        gates *= half
+        hidden = np.empty((len(gates), h), dtype)
+        z, rec = np.empty(4 * h, dtype), np.empty(4 * h, dtype)
+        c, tc = np.zeros(h, dtype), np.empty(h, dtype)
+        sig, gi, gf, go, gg = z[: 3 * h], z[:h], z[h : 2 * h], z[2 * h : 3 * h], z[3 * h :]
+        for t in range(len(gates)):
+            if t:
+                np.dot(layer.wh, hidden[t - 1], out=rec)
+                rec *= half
+                np.add(gates[t], rec, out=z)
+            else:
+                z[:] = gates[0]
+            np.tanh(z, out=z)
+            sig += 1.0
+            sig *= 0.5
+            np.multiply(gi, gg, out=tc)
+            c *= gf
+            c += tc
+            np.tanh(c, out=tc)
+            np.multiply(go, tc, out=hidden[t])
+        if not np.all(np.isfinite(hidden)):
+            step = int(np.argmin(np.isfinite(hidden).all(axis=1)))
+            raise NumericError(f"non-finite activation in layer {idx} at step {step}")
+        inputs = hidden
+    yhat = model.head_w @ hidden[-1, :, None] + model.head_b[0]
+    return float(np.clip(yhat, 0.0, cap)[0])
 
 
 def save_checkpoint(model: LstmRegressor, path, meta: dict | None = None) -> None:

@@ -23,7 +23,7 @@ import numpy as np
 from .cmapss import MAX_ABS_READING, N_SENSORS
 from .config import _is_int
 from .cva import Standardizer, apply_standardizer
-from .errors import IntegrityError
+from .errors import ConfigError, IntegrityError, ShapeError
 from .labeling import trailing_window
 from .lstm import LstmRegressor, predict
 from .monitoring import MonitorModel, load_monitors, statistic_trace
@@ -53,7 +53,8 @@ class StreamMonitor:
 
     With a regressor, each degrading cycle's RUL estimate is clipped to
     [0, rul_cap]; a None cap is the regressor's own ``label_cap``, the cap of
-    the labels it was trained on.
+    the labels it was trained on. A regressor needs ``pooled``, the
+    standardizer of its training windows, with one mean and std per kept sensor.
     """
 
     def __init__(
@@ -67,6 +68,15 @@ class StreamMonitor:
         self.monitors = monitors
         self.columns = np.asarray(kept_indices, dtype=int) - 1
         self.m = len(self.columns)
+        if regressor is not None:
+            if pooled is None:
+                raise ConfigError("a regressor needs the pooled standardizer of its training windows")
+            shapes = (np.shape(pooled.mean), np.shape(pooled.std))
+            if shapes != ((self.m,), (self.m,)):
+                raise ShapeError(
+                    f"pooled standardizer mean and std of shapes {shapes} do not match "
+                    f"{self.m} kept sensors"
+                )
         self.regressor = regressor
         self.pooled = pooled
         self.rul_cap = rul_cap

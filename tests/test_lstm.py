@@ -7,7 +7,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from changepoint_rul.errors import ConfigError, IntegrityError, NumericError, ShapeError
+from changepoint_rul.errors import (
+    ConfigError,
+    InsufficientDataError,
+    IntegrityError,
+    NumericError,
+    ShapeError,
+)
 from changepoint_rul.labeling import WindowedDataset
 from changepoint_rul.lstm import (
     LstmLayer,
@@ -507,6 +513,37 @@ class TestPredict:
         np.testing.assert_allclose(batch, single, rtol=1e-6, atol=0.0)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("hidden", [(6,), (7, 5, 4)], ids=["one_layer", "three_layers"])
+    def test_single_window_matches_predict_batch_bit_for_bit(self, hidden, dtype):
+        """predict's batch-1 recurrence gives the bits of predict_batch on the
+        window alone, inside the clamps and at both of them."""
+        model = init_regressor(3, hidden, (0.2, 0.1)[: len(hidden) - 1], seed=26)
+        if dtype == np.float32:
+            model = as_float32(model)
+        model.head_w *= 300.0  # spread the estimates past both clamps
+        model.head_b[0] = 2.0
+        rng = np.random.default_rng(27)
+        estimates = []
+        for length in [*range(1, 13), 30]:
+            for scale in (0.3, 1.0, 5.0):
+                window = scale * rng.normal(size=(length, 3))
+                estimate = predict(model, window, cap=3.0)
+                assert estimate == float(predict_batch(model, window[None], cap=3.0)[0])
+                estimates.append(estimate)
+        estimates = np.array(estimates)
+        assert np.any(estimates == 0.0) and np.any(estimates == 3.0)
+        assert np.any((estimates > 0.0) & (estimates < 3.0))
+
+    def test_window_without_cycles_is_insufficient_data(self):
+        model = init_regressor(3, (5, 4), (0.2,), seed=28)
+        with pytest.raises(InsufficientDataError, match="at least one cycle"):
+            predict(model, np.zeros((0, 3)))
+        with pytest.raises(InsufficientDataError, match="at least one cycle"):
+            predict_batch(model, np.zeros((2, 0, 3)))
+        with pytest.raises(InsufficientDataError, match="at least one cycle"):
+            loss_and_gradients(model, np.zeros((2, 0, 3)), np.zeros(2))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("windows", [1, 3])
     def test_non_finite_activation_names_layer_and_step(self, windows, dtype):
         model = init_regressor(3, (5, 4), (0.2,), seed=24)
@@ -516,6 +553,8 @@ class TestPredict:
         batch[windows - 1, 6, 2] = np.nan  # step 6 of the last window
         with pytest.raises(NumericError, match=r"^non-finite activation in layer 0 at step 6$"):
             predict_batch(model, batch)
+        with pytest.raises(NumericError, match=r"^non-finite activation in layer 0 at step 6$"):
+            predict(model, batch[-1])
 
     @pytest.mark.parametrize("shape", [(6, 3), (2, 6, 4), (2, 6, 3, 1), (3,)])
     def test_batch_shape_errors(self, shape):

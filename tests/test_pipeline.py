@@ -21,6 +21,7 @@ from changepoint_rul.monitoring import REPORT_COLUMNS
 from changepoint_rul.pipeline import (
     _load_split,
     _write_json,
+    read_checkpoint,
     run_detect,
     run_evaluate,
     run_sweep,
@@ -521,13 +522,14 @@ class TestCli:
     def test_monitor_cli_round_trip(self, detect_run, trained_run, life_stream, capsys):
         detect_cfg = detect_run[0]
         fitted, stream_path = life_stream
+        checkpoint = os.path.join(trained_run[0].out_dir, "checkpoint.npz")
         code = main(
             [
                 "monitor",
                 "--monitors",
                 os.path.join(detect_cfg.out_dir, "monitors"),
                 "--checkpoint",
-                os.path.join(trained_run[0].out_dir, "checkpoint.npz"),
+                checkpoint,
                 "--input",
                 stream_path,
             ]
@@ -539,7 +541,16 @@ class TestCli:
         assert cp_events[0]["k_cp"] == fitted.k_cp  # online agrees with offline
         ruls = [e for e in lines if e["type"] == "status" and "rul" in e]
         assert ruls, "expected RUL estimates after the change point"
-        assert all(0.0 <= e["rul"] <= 130.0 for e in ruls)
+        # each estimate is the batched forward of the record's standardized
+        # trailing window, clipped at the checkpoint's label cap
+        model, kept, pooled = read_checkpoint(checkpoint)
+        records = [json.loads(line) for line in open(stream_path)]
+        rows = np.array([r["sensors"] for r in records])[:, np.asarray(kept) - 1]
+        x = (rows - pooled.mean) / pooled.std
+        position = {r["cycle"]: i for i, r in enumerate(records)}
+        for e in ruls:
+            window = trailing_window(x[: position[e["cycle"]] + 1], model.sequence_length)
+            assert e["rul"] == float(predict_batch(model, window[None], model.label_cap)[0])
 
     def test_monitor_clips_at_the_checkpoint_label_cap(
         self, detect_run, trained_run, life_stream, tmp_path, capsys

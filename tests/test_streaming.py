@@ -6,6 +6,7 @@ import pytest
 
 from changepoint_rul.config import PipelineConfig
 from changepoint_rul.cva import CvaModel, Standardizer
+from changepoint_rul.errors import ConfigError, ShapeError
 from changepoint_rul.lstm import LstmLayer, LstmRegressor
 from changepoint_rul.monitoring import MonitorModel
 from changepoint_rul.streaming import StreamMonitor
@@ -26,6 +27,19 @@ def scalar_monitor(cl_t2=4.0, cl_q=1e9, persistence=3):
         j_res=np.zeros((1, 1)),
     )
     return MonitorModel(cva=cva, cl_t2=cl_t2, cl_q=cl_q, persistence=persistence)
+
+
+def one_unit_regressor(dtype=np.float64):
+    """A one-input, one-unit LSTM of zeros reading 3-cycle windows."""
+    layer = LstmLayer(np.zeros((4, 1), dtype), np.zeros((4, 1), dtype), np.zeros(4, dtype))
+    return LstmRegressor(
+        layers=[layer],
+        dropout_ratios=(),
+        head_w=np.zeros(1, dtype),
+        head_b=np.zeros(1, dtype),
+        seed=0,
+        sequence_length=3,
+    )
 
 
 def stream_values(monitor, values, unit=1):
@@ -177,18 +191,12 @@ class TestRecordValidation:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_reading_beyond_regressor_range(self, dtype):
         # 1e50 standardized is finite in float64 but overflows a float32 model
-        layer = LstmLayer(np.zeros((4, 1), dtype), np.zeros((4, 1), dtype), np.zeros(4, dtype))
-        regressor = LstmRegressor(
-            layers=[layer],
-            dropout_ratios=(),
-            head_w=np.zeros(1, dtype),
-            head_b=np.zeros(1, dtype),
-            seed=0,
-            sequence_length=3,
-        )
         pooled = Standardizer(mean=np.zeros(1), std=np.ones(1))
         sm = StreamMonitor(
-            {1: scalar_monitor(persistence=0)}, kept_indices=[1], regressor=regressor, pooled=pooled
+            {1: scalar_monitor(persistence=0)},
+            kept_indices=[1],
+            regressor=one_unit_regressor(dtype),
+            pooled=pooled,
         )
         for cycle, value in ((1, 0.0), (2, 10.0)):
             sm.process_record({"unit": 1, "cycle": cycle, "sensors": [value]})
@@ -201,6 +209,27 @@ class TestRecordValidation:
             assert "float32 range" in events[0]["reason"]
             assert sm.states[1].last_cycle == 2
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_regressor_without_pooled_standardizer_refused(self, dtype):
+        with pytest.raises(ConfigError, match="pooled standardizer"):
+            StreamMonitor(
+                {1: scalar_monitor()}, kept_indices=[1], regressor=one_unit_regressor(dtype)
+            )
+
+    @pytest.mark.parametrize(
+        "mean, std",
+        [(np.zeros(2), np.ones(1)), (np.zeros(1), np.ones(2)), (np.zeros((1, 1)), np.ones((1, 1)))],
+        ids=["mean", "std", "both_2d"],
+    )
+    def test_pooled_standardizer_of_wrong_shape_refused(self, mean, std):
+        pooled = Standardizer(mean=mean, std=std)
+        with pytest.raises(ShapeError, match="1 kept sensors"):
+            StreamMonitor(
+                {1: scalar_monitor()},
+                kept_indices=[1],
+                regressor=one_unit_regressor(np.float32),
+                pooled=pooled,
+            )
 
     def test_overflowing_statistics_rejected(self):
         """A finite but huge whitening transform sends t2 to inf; that record
