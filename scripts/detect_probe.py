@@ -11,9 +11,11 @@ so sums taken in another order show in the last bits. The config is
 engines under 200 cycles take the fallback and the rest are fitted.
 
 Each repetition runs ``run_detect(write=False)`` once per checkout and times
-it whole (``run_detect``) and in three sub-steps, each the summed time of the
+it whole (``run_detect``) and in four sub-steps, each the summed time of the
 calls of one function that ``monitoring`` looks up: ``fit`` (``fit_cva``),
-``limits`` (``kde_control_limit``) and ``scan`` (``detect_change_point``).
+``limits`` (``kde_control_limit``) and ``scan`` (``detect_change_point``), or
+that ``cva`` looks up: ``whiten`` (``_whitener``, the fit's two whitenings, so
+that the whitening and the rest of ``fit`` show apart).
 It also times ``read``: ``pipeline._load_split(config, "train")`` over the same
 fleet, written once to a temporary directory as a C-MAPSS log (the selected
 channels at their raw positions, the dropped channels and the settings 0;
@@ -72,7 +74,12 @@ sys.path.insert(1, str(ROOT / "src"))  # synthetic.py imports the package by nam
 from synthetic import make_engine_series  # noqa: E402
 
 N_ENGINES, SHORTEST, LONGEST, SEED = 249, 128, 543, 0
-SUB_STEPS = {"fit": "fit_cva", "limits": "kde_control_limit", "scan": "detect_change_point"}
+SUB_STEPS = {  # step: (module, the function it looks up)
+    "fit": ("monitoring", "fit_cva"),
+    "whiten": ("cva", "_whitener"),
+    "limits": ("monitoring", "kde_control_limit"),
+    "scan": ("monitoring", "detect_change_point"),
+}
 ARRAYS = ("w", "vr", "singular_values", "j", "j_res")
 
 
@@ -124,15 +131,16 @@ def summary(samples_ms: list) -> dict:
 def detect_step(package, rows):
     """A step that runs one package's detection over the fleet and returns its
     times in ms, plus the list the step leaves its last outcomes in."""
-    monitoring, pipeline = package.monitoring, package.pipeline
+    pipeline = package.pipeline
     engines = [
         package.cmapss.EngineSeries("FD004", unit, np.arange(1, k_max + 1), np.zeros((k_max, 3)), sensors)
         for unit, k_max, sensors in rows
     ]
     config = package.config.default_config("FD004")
     spent = dict.fromkeys(SUB_STEPS, 0.0)
-    for step, attr in SUB_STEPS.items():  # time every call that monitoring makes
-        original = getattr(monitoring, attr)
+    for step, (module_name, attr) in SUB_STEPS.items():  # time every call the module makes
+        module = getattr(package, module_name)
+        original = getattr(module, attr)
 
         def timed(*args, _original=original, _step=step, **kwargs):
             t0 = time.perf_counter()
@@ -141,7 +149,7 @@ def detect_step(package, rows):
             finally:
                 spent[_step] += time.perf_counter() - t0
 
-        setattr(monitoring, attr, timed)
+        setattr(module, attr, timed)
     last = []
 
     def step():

@@ -14,6 +14,11 @@ W.T W = inverse covariance gives the same canonical variates up to a rotation
 of the whitened past, so the T2 and Q statistics (squared norms) do not depend
 on which square root is taken; only the stored transforms do.
 
+The canonical directions are the eigenvectors of M.T M, M the whitened
+cross-covariance: M's right singular vectors, each with the sign LAPACK's
+eigensolver gives it, which T2 and Q do not depend on. The canonical
+correlations are the square roots of its eigenvalues, clamped at 0.
+
 Past and future vectors both hold p lags. Lag stacking convention, pinned
 by tests: the past vector at cycle k stacks newest lag first
 [x_{k-1}, x_{k-2}, ..., x_{k-p}]; the future vector stacks oldest first
@@ -27,6 +32,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import ConfigError, InsufficientDataError, NumericError, ShapeError
 
@@ -134,16 +140,24 @@ def build_lagged_matrices(x: np.ndarray, p: int) -> LaggedMatrices:
 
 def _whitener(s: np.ndarray) -> np.ndarray:
     """Inverse Cholesky factor W of each symmetric PSD matrix of a (..., k, k)
-    stack, ridged, so that W s W.T is the identity to the ridge."""
+    stack, ridged, so that W s W.T is the identity to the ridge.
+
+    Each factor is inverted by LAPACK's triangular inverse, so W is exactly
+    zero above the diagonal, and W is C-ordered, the layout the monitor store
+    reloads: BLAS rounds products differently by layout.
+    """
     s = 0.5 * (s + s.swapaxes(-1, -2))
     if not np.all(np.isfinite(s)):
         raise NumericError("covariance matrix holds non-finite values")
     largest = np.diagonal(s, axis1=-2, axis2=-1).max(axis=-1)
     if np.any(largest <= 0):
         raise NumericError("covariance matrix is not positive semidefinite")
-    ridge = (RIDGE_RATIO * largest)[..., None, None] * np.eye(s.shape[-1])
-    # inv pivots, so rounding leaves specks above the diagonal of L^-1
-    return np.tril(np.linalg.inv(np.linalg.cholesky(s + ridge)))
+    k = s.shape[-1]
+    factors = np.linalg.cholesky(s + (RIDGE_RATIO * largest)[..., None, None] * np.eye(k))
+    w = np.empty(factors.shape)
+    for out, factor in zip(w.reshape(-1, k, k), factors.reshape(-1, k, k)):
+        out[...] = lapack.dtrtri(factor, lower=1)[0]
+    return w
 
 
 @dataclass(frozen=True)
@@ -152,10 +166,13 @@ class CvaModel:
 
     ``w`` whitens the past space (the lower-triangular inverse Cholesky factor
     of its ridged covariance), ``vr`` holds the retained right singular
-    vectors, ``j = vr.T @ w`` maps a past column to the r dominant variates
-    and ``j_res = (I - vr vr.T) @ w`` to the residual space, so that
-    w @ xp == vr @ z + e column by column. A model fitted on a stack holds
-    each array with the stack's leading axis; ``unstack`` splits it.
+    vectors of the whitened cross-covariance (signs as LAPACK's eigensolver
+    gives them), ``singular_values`` all m*p canonical correlations,
+    descending and >= 0, ``j = vr.T @ w`` maps a past column to the r
+    dominant variates and ``j_res = (I - vr vr.T) @ w`` to the residual
+    space, so that w @ xp == vr @ z + e column by column. A model fitted on
+    a stack holds each array with the stack's leading axis; ``unstack``
+    splits it.
     """
 
     standardizer: Standardizer | None
@@ -199,10 +216,13 @@ def fit_cva(lagged: LaggedMatrices, r: int, standardizer: Standardizer | None = 
     """Fit the canonical-variate transforms from stacked lag matrices, or
     from each (m*p, n_eff) pair of an (n, m*p, n_eff) stack at once.
 
-    The whitened cross-covariance is decomposed by SVD and the first r right
-    singular vectors (ordered by singular value) are retained. Covariances
-    use 1/(n_eff - 1) normalization without re-centering; the inputs are
-    expected to come from standardized channels.
+    One symmetric eigensolve of M.T M, M the whitened cross-covariance, gives
+    M's right singular vectors, of which the r with the largest eigenvalues
+    are retained, and its singular values, the square roots of the
+    eigenvalues clamped at 0 (canonical correlations are at most 1, so
+    squaring them costs little accuracy). Covariances use 1/(n_eff - 1)
+    normalization without re-centering; the inputs are expected to come from
+    standardized channels.
     """
     mp = lagged.xp.shape[-2]
     if not 1 <= r <= mp:
@@ -215,12 +235,11 @@ def fit_cva(lagged: LaggedMatrices, r: int, standardizer: Standardizer | None = 
     # covariances as temporaries, each freed once used: a fleet's stacks are large
     w = _whitener(scale * (xp @ xp.swapaxes(-1, -2)))
     w_f = _whitener(scale * (xf @ xf.swapaxes(-1, -2)))
-    _, singular_values, vt = np.linalg.svd(
-        w_f @ (scale * (xf @ xp.swapaxes(-1, -2))) @ w.swapaxes(-1, -2), full_matrices=False
-    )
-    return CvaModel.from_transforms(
-        standardizer, lagged.p, w, vt[..., :r, :].swapaxes(-1, -2), singular_values
-    )
+    cross = w_f @ (scale * (xf @ xp.swapaxes(-1, -2))) @ w.swapaxes(-1, -2)
+    eigenvalues, v = np.linalg.eigh(cross.swapaxes(-1, -2) @ cross)
+    v, eigenvalues = v[..., ::-1], eigenvalues[..., ::-1]  # eigh sorts ascending
+    singular_values = np.sqrt(np.maximum(eigenvalues, 0.0))
+    return CvaModel.from_transforms(standardizer, lagged.p, w, v[..., :r], singular_values)
 
 
 def project(model: CvaModel, xp_new: np.ndarray):

@@ -7,6 +7,7 @@ import pytest
 from changepoint_rul.cva import (
     CvaModel,
     LaggedMatrices,
+    _whitener,
     apply_standardizer,
     build_lagged_matrices,
     build_past_matrix,
@@ -17,14 +18,18 @@ from changepoint_rul.cva import (
 from changepoint_rul.errors import ConfigError, InsufficientDataError, NumericError, ShapeError
 
 
-def standardized_lagged(seed=0, m=4, n=300, p=2, r=3):
-    rng = np.random.default_rng(seed)
+def autoregressive(seed, m, n):
     # mildly autocorrelated channels so canonical correlations are nontrivial
-    noise = rng.normal(size=(m, n))
+    noise = np.random.default_rng(seed).normal(size=(m, n))
     x = np.empty((m, n))
     x[:, 0] = noise[:, 0]
     for t in range(1, n):
         x[:, t] = 0.6 * x[:, t - 1] + noise[:, t]
+    return x
+
+
+def standardized_lagged(seed=0, m=4, n=300, p=2, r=3):
+    x = autoregressive(seed, m, n)
     standardizer = fit_standardizer(x)
     xs = apply_standardizer(standardizer, x)
     lagged = build_lagged_matrices(xs, p)
@@ -135,6 +140,55 @@ class TestFitCva:
         assert np.array_equal(m1.vr, m2.vr)
         assert np.array_equal(m1.singular_values, m2.singular_values)
 
+    def test_an_empty_stack_fits_to_empty_transforms(self):
+        model = fit_cva(build_lagged_matrices(np.zeros((0, 3, 20)), 2), 2)
+        assert model.w.shape == (0, 6, 6)
+        assert model.vr.shape == (0, 6, 2)
+        assert model.singular_values.shape == (0, 6)
+
+
+def autoregressive_case(seed, m, n, held_out=60, p=2):
+    """Lag matrices of the first n cycles of m standardized AR(1) channels, and
+    the past columns of the held_out cycles after them."""
+    x = autoregressive(seed, m, n + held_out)
+    xs = apply_standardizer(fit_standardizer(x[:, :n]), x)
+    return build_lagged_matrices(xs[:, :n], p), build_past_matrix(xs, p)[:, n - p :]
+
+
+def svd_reference(lagged, r, xp_new):
+    """Singular values, and T2 and Q of xp_new's columns, from an SVD of the
+    same whitened cross-covariance that fit_cva decomposes."""
+    scale = 1.0 / (lagged.n_effective - 1)
+    xp, xf = lagged.xp, lagged.xf
+    w, w_f = _whitener(scale * xp @ xp.T), _whitener(scale * xf @ xf.T)
+    _, singular_values, vt = np.linalg.svd(w_f @ (scale * xf @ xp.T) @ w.T)
+    z = vt[:r] @ w @ xp_new
+    e = w @ xp_new - vt[:r].T @ z
+    return singular_values, (z * z).sum(axis=0), (e * e).sum(axis=0)
+
+
+class TestGramEigensolve:
+    @pytest.mark.parametrize(
+        "seed, r, gap",
+        [
+            (0, 3, None),  # r < m*p
+            (0, 12, None),  # r = m*p
+            (4, 2, 1e-3),  # the r-th and (r+1)-th correlations lie within gap
+        ],
+    )
+    def test_statistics_match_an_svd_of_the_whitened_cross_covariance(self, seed, r, gap):
+        lagged, held_out = autoregressive_case(seed, m=6, n=300)
+        model = fit_cva(lagged, r)
+        singular_values, t2, q = svd_reference(lagged, r, held_out)
+        if gap is not None:
+            assert singular_values[r - 1] - singular_values[r] < gap
+        np.testing.assert_allclose(model.singular_values, singular_values, rtol=0, atol=1e-10)
+        z, e = project(model, held_out)
+        np.testing.assert_allclose((z * z).sum(axis=0), t2, rtol=1e-10, atol=0)
+        # Q is rounding noise when r = m*p, so it is compared on the scale of T2 + Q
+        q_atol = 1e-10 * (t2 + q).max()
+        np.testing.assert_allclose((e * e).sum(axis=0), q, rtol=1e-10, atol=q_atol)
+
 
 def symmetric_reference_statistics(lagged, r, xp_new):
     """T2 and Q of xp_new's columns under CVA whitened by the symmetric inverse
@@ -183,6 +237,14 @@ class TestWhitening:
         model, lagged, _ = standardized_lagged(seed=22)
         covariance = lagged.xp @ lagged.xp.T / (lagged.n_effective - 1)
         np.testing.assert_allclose(model.w @ covariance @ model.w.T, np.eye(len(covariance)), atol=1e-8)
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_whitener_is_c_ordered_and_lower_triangular(self, stacked):
+        # the layout the monitor store reloads, so both copies derive the same j and j_res
+        x = np.random.default_rng(24).normal(size=(3, 4, 80))
+        model = fit_cva(build_lagged_matrices(x if stacked else x[0], 2), 3)
+        assert model.w.flags.c_contiguous
+        assert np.all(np.triu(model.w, 1) == 0.0)
 
     def test_two_identical_channels_fit(self):
         x = np.random.default_rng(23).normal(size=(3, 60))
