@@ -200,14 +200,16 @@ def engine_bytes(engines) -> list:
 
 
 def fingerprint(outcomes) -> list:
-    """Each outcome's record plus its monitor arrays, as plain values."""
+    """Each outcome's record plus its monitor arrays, as plain values; the
+    standardizer is the monitor's, or its CVA model's in older sources."""
     prints = []
     for o in outcomes:
         arrays = None
         if o.monitor is not None:
             cva = o.monitor.cva
+            standardizer = getattr(o.monitor, "standardizer", None) or cva.standardizer
             arrays = {name: getattr(cva, name) for name in ARRAYS}
-            arrays.update(mean=cva.standardizer.mean, std=cva.standardizer.std)
+            arrays.update(mean=standardizer.mean, std=standardizer.std)
         prints.append((o.record("FD004"), arrays))
     return prints
 

@@ -38,7 +38,7 @@ def _is_int(value) -> bool:
 
 def _is_number(value) -> bool:
     """An int or a float; its range is the field's own check."""
-    return _is_int(value) or isinstance(value, float)
+    return isinstance(value, float) or _is_int(value)
 
 
 def _is_finite(value) -> bool:

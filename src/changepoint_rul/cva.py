@@ -172,10 +172,9 @@ class CvaModel:
     dominant variates and ``j_res = (I - vr vr.T) @ w`` to the residual
     space, so that w @ xp == vr @ z + e column by column. A model fitted on
     a stack holds each array with the stack's leading axis; ``unstack``
-    splits it.
+    splits it. The standardizer its inputs are scaled with is the monitor's.
     """
 
-    standardizer: Standardizer | None
     p: int
     r: int
     w: np.ndarray
@@ -185,13 +184,12 @@ class CvaModel:
     j_res: np.ndarray
 
     @classmethod
-    def from_transforms(cls, standardizer, p: int, w, vr, singular_values) -> "CvaModel":
+    def from_transforms(cls, p: int, w, vr, singular_values) -> "CvaModel":
         """Model of the given transforms, with ``j`` and ``j_res`` derived from them;
         ``vr`` is taken in one layout, as BLAS rounds differently by layout."""
         vt = np.ascontiguousarray(vr.swapaxes(-1, -2))
         vr = vt.swapaxes(-1, -2)
         return cls(
-            standardizer=standardizer,
             p=p,
             r=vt.shape[-2],
             w=w,
@@ -203,16 +201,13 @@ class CvaModel:
 
     def unstack(self) -> list["CvaModel"]:
         """One model per matrix of the stack this model was fitted on."""
-        s = self.standardizer
         return [
-            CvaModel(Standardizer(mean, std), self.p, self.r, *arrays)
-            for mean, std, *arrays in zip(
-                s.mean, s.std, self.w, self.vr, self.singular_values, self.j, self.j_res
-            )
+            CvaModel(self.p, self.r, *arrays)
+            for arrays in zip(self.w, self.vr, self.singular_values, self.j, self.j_res)
         ]
 
 
-def fit_cva(lagged: LaggedMatrices, r: int, standardizer: Standardizer | None = None) -> CvaModel:
+def fit_cva(lagged: LaggedMatrices, r: int) -> CvaModel:
     """Fit the canonical-variate transforms from stacked lag matrices, or
     from each (m*p, n_eff) pair of an (n, m*p, n_eff) stack at once.
 
@@ -239,14 +234,14 @@ def fit_cva(lagged: LaggedMatrices, r: int, standardizer: Standardizer | None = 
     eigenvalues, v = np.linalg.eigh(cross.swapaxes(-1, -2) @ cross)
     v, eigenvalues = v[..., ::-1], eigenvalues[..., ::-1]  # eigh sorts ascending
     singular_values = np.sqrt(np.maximum(eigenvalues, 0.0))
-    return CvaModel.from_transforms(standardizer, lagged.p, w, v[..., :r], singular_values)
+    return CvaModel.from_transforms(lagged.p, w, v[..., :r], singular_values)
 
 
 def project(model: CvaModel, xp_new: np.ndarray):
     """Project standardized past-lag columns to (dominant, residual) variates.
 
     ``xp_new`` must already be built from channels standardized with the
-    model's own Standardizer.
+    Standardizer of the monitor that holds the model.
     """
     xp_new = np.asarray(xp_new, dtype=float)
     if xp_new.shape[0] != model.w.shape[0]:

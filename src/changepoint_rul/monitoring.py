@@ -144,8 +144,9 @@ def kde_control_limit(samples, alpha: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MonitorModel:
-    """Per-device monitor, all the stream reads: CVA transforms, control limits
-    and persistence. Fleet-wide settings live in the store manifest.
+    """Per-device monitor, all the stream reads: the standardizer of its
+    channels, CVA transforms, control limits and persistence. Fleet-wide
+    settings live in the store manifest.
 
     ``persistence`` is the longest consecutive-breach run length observed in
     the device's data before degradation (its normal operation plus any
@@ -153,6 +154,7 @@ class MonitorModel:
     than this before declaring a change point.
     """
 
+    standardizer: Standardizer
     cva: CvaModel
     cl_t2: float
     cl_q: float
@@ -194,7 +196,7 @@ def save_monitors(monitors_dir, config: PipelineConfig, kept_indices, monitors: 
         json.dump(manifest, fh, indent=2, sort_keys=True)
     rows = [
         {"w": mo.cva.w, "vr": mo.cva.vr, "singular_values": mo.cva.singular_values,
-         "mean": mo.cva.standardizer.mean, "std": mo.cva.standardizer.std,
+         "mean": mo.standardizer.mean, "std": mo.standardizer.std,
          "cl_t2": mo.cl_t2, "cl_q": mo.cl_q, "persistence": mo.persistence}
         for mo in monitors.values()
     ]
@@ -257,16 +259,9 @@ def load_monitors(monitors_dir):
     cl_t2, cl_q, persistence = (arrays[name].tolist() for name in ("cl_t2", "cl_q", "persistence"))
     monitors = {
         unit: MonitorModel(
-            cva=CvaModel.from_transforms(
-                Standardizer(mean=arrays["mean"][i], std=arrays["std"][i]),
-                p,
-                arrays["w"][i],
-                arrays["vr"][i],
-                arrays["singular_values"][i],
-            ),
-            cl_t2=cl_t2[i],
-            cl_q=cl_q[i],
-            persistence=persistence[i],
+            Standardizer(arrays["mean"][i], arrays["std"][i]),
+            CvaModel.from_transforms(p, arrays["w"][i], arrays["vr"][i], arrays["singular_values"][i]),
+            cl_t2[i], cl_q[i], persistence[i],
         )
         for i, unit in enumerate(units)
     }
@@ -291,19 +286,33 @@ REPORT_COLUMNS = (
 @dataclass(frozen=True)
 class DeviceOutcome:
     """One engine's detection record: the change-point candidates and, for a
-    fitted engine, its limits, persistence and monitor. An engine that was
-    not fitted keeps the defaults and gets the fixed-cap fallback."""
+    fitted engine, its monitor, whose limits and persistence the outcome
+    reports as its own. An engine that was not fitted keeps the defaults
+    (its limits and persistence read None) and gets the fixed-cap fallback."""
 
     unit_id: int
     k_max: int
     k_t2_cp: int | None = None
     k_q_cp: int | None = None
-    k_cp: int | None = None
-    persistence: int | None = None
-    cl_t2: float | None = None
-    cl_q: float | None = None
     flagged: bool = False
     monitor: MonitorModel | None = None
+
+    @property
+    def k_cp(self) -> int | None:
+        """The earlier candidate, so warnings come as early as possible."""
+        return min((k for k in (self.k_t2_cp, self.k_q_cp) if k is not None), default=None)
+
+    @property
+    def cl_t2(self) -> float | None:
+        return None if self.monitor is None else self.monitor.cl_t2
+
+    @property
+    def cl_q(self) -> float | None:
+        return None if self.monitor is None else self.monitor.cl_q
+
+    @property
+    def persistence(self) -> int | None:
+        return None if self.monitor is None else self.monitor.persistence
 
     @property
     def method(self) -> str:
@@ -348,28 +357,24 @@ def detect_change_point(
     """Earliest cycle whose statistic permanently breaches its control limit.
 
     Each statistic yields a candidate (the start of its trailing all-breach
-    run); the earlier one is selected so warnings come as early as possible.
-    No candidate at all yields k_cp=None, the fallback.
+    run); the outcome's k_cp is the earlier one. No candidate at all yields
+    k_cp=None, the fallback.
     """
     if stats.end_cycle != k_max:
         raise InsufficientDataError(
             f"statistics end at cycle {stats.end_cycle} but device lifespan is {k_max}"
         )
-    k_t2 = _permanent_breach_start(stats.t2, cl_t2, stats.start_cycle)
-    k_q = _permanent_breach_start(stats.q, cl_q, stats.start_cycle)
-    candidates = [k for k in (k_t2, k_q) if k is not None]
     return DeviceOutcome(
         unit_id=unit_id,
         k_max=k_max,
-        k_t2_cp=k_t2,
-        k_q_cp=k_q,
-        k_cp=min(candidates) if candidates else None,
+        k_t2_cp=_permanent_breach_start(stats.t2, cl_t2, stats.start_cycle),
+        k_q_cp=_permanent_breach_start(stats.q, cl_q, stats.start_cycle),
     )
 
 
-def _statistics(cva: CvaModel, sensors: np.ndarray) -> StatisticSeries:
+def _statistics(standardizer: Standardizer, cva: CvaModel, sensors) -> StatisticSeries:
     """Statistics of cycles p+1 .. N of a row-per-cycle (N, m) series."""
-    x = apply_standardizer(cva.standardizer, np.asarray(sensors, dtype=float).T)
+    x = apply_standardizer(standardizer, np.asarray(sensors, dtype=float).T)
     z, e = project(cva, build_past_matrix(x, cva.p))
     return compute_statistics(z, e, start_cycle=cva.p + 1)
 
@@ -380,18 +385,7 @@ def statistic_trace(model: MonitorModel, sensors: np.ndarray) -> StatisticSeries
     ``sensors`` is row-per-cycle with the monitor's channel count; cycles
     p+1 .. k_max are covered (the first p cycles only seed the lags).
     """
-    return _statistics(model.cva, sensors)
-
-
-def _fit_fleet_cva(engines, config: PipelineConfig) -> list[CvaModel]:
-    """Each device's standardizer and CVA, fitted on the stack of normal windows."""
-    nw = config.normal_window
-    # an (n, m, normal_window) view of row-per-cycle copies, so each channel's
-    # sums run over the cycles in the order a single (m, k_max) series has
-    normal = np.stack([s.sensors[:nw] for s in engines], dtype=float).transpose(0, 2, 1)
-    standardizer = fit_standardizer(normal)
-    lagged = build_lagged_matrices(apply_standardizer(standardizer, normal), config.p)
-    return fit_cva(lagged, config.r, standardizer=standardizer).unstack()
+    return _statistics(model.standardizer, model.cva, sensors)
 
 
 def fit_device_monitors(engines, config: PipelineConfig) -> list[DeviceOutcome]:
@@ -421,8 +415,13 @@ def fit_device_monitors(engines, config: PipelineConfig) -> list[DeviceOutcome]:
     if not engines:
         return []
 
-    models = _fit_fleet_cva(engines, config)
-    all_stats = [_statistics(cva, series.sensors) for cva, series in zip(models, engines)]
+    # an (n, m, normal_window) view of row-per-cycle copies, so each channel's
+    # sums run over the cycles in the order a single (m, k_max) series has
+    normal = np.stack([s.sensors[:nw] for s in engines], dtype=float).transpose(0, 2, 1)
+    fleet = fit_standardizer(normal)
+    standardizers = [Standardizer(mean, std) for mean, std in zip(fleet.mean, fleet.std)]
+    models = fit_cva(build_lagged_matrices(apply_standardizer(fleet, normal), p), config.r).unstack()
+    all_stats = [_statistics(s, cva, e.sensors) for s, cva, e in zip(standardizers, models, engines)]
 
     n_eff = nw - 2 * p + 1  # in-sample columns: cycles p+1 .. p+n_eff
     limits = kde_control_limit(
@@ -431,8 +430,8 @@ def fit_device_monitors(engines, config: PipelineConfig) -> list[DeviceOutcome]:
     ).tolist()
 
     outcomes = []
-    for series, cva, stats, cl_t2, cl_q in zip(
-        engines, models, all_stats, limits[: len(engines)], limits[len(engines) :]
+    for series, standardizer, cva, stats, cl_t2, cl_q in zip(
+        engines, standardizers, models, all_stats, limits[: len(engines)], limits[len(engines) :]
     ):
         k_max = series.k_max
         test_stats = stats.slice_cycles(tau, k_max)
@@ -448,15 +447,6 @@ def fit_device_monitors(engines, config: PipelineConfig) -> list[DeviceOutcome]:
             )
         pre_cp_end = (outcome.k_cp - 1) if outcome.k_cp is not None else k_max
         persistence = compute_lambda(stats.slice_cycles(p + 1, pre_cp_end), cl_t2, cl_q)
-        monitor = MonitorModel(cva=cva, cl_t2=cl_t2, cl_q=cl_q, persistence=persistence)
-        outcomes.append(
-            replace(
-                outcome,
-                persistence=persistence,
-                cl_t2=cl_t2,
-                cl_q=cl_q,
-                flagged=flagged,
-                monitor=monitor,
-            )
-        )
+        monitor = MonitorModel(standardizer, cva, cl_t2, cl_q, persistence)
+        outcomes.append(replace(outcome, flagged=flagged, monitor=monitor))
     return outcomes

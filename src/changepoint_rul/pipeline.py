@@ -19,7 +19,7 @@ import numpy as np
 
 from . import cmapss
 from .config import PipelineConfig
-from .cva import Standardizer
+from .cva import STD_FLOOR, Standardizer
 from .errors import ConfigError, InsufficientDataError, IntegrityError, NumericError
 from .labeling import (
     piecewise_rul_labels,
@@ -245,7 +245,8 @@ def run_train(config: PipelineConfig, engines=None, outcomes=None):
 def read_checkpoint(path):
     """Load (model, kept sensor indices, pooled standardizer) from a train
     checkpoint, with one distinct sensor index in 1..21 per model input and
-    a positive int window length."""
+    a positive int window length, and a finite pooled standardizer whose
+    scales are at least STD_FLOOR, as fit_standardizer gives."""
     model, meta = load_checkpoint(path)
     length = model.sequence_length
     if type(length) is not int or length < 1:
@@ -263,6 +264,10 @@ def read_checkpoint(path):
     shape = (model.input_dim,)
     if len(kept) != model.input_dim or not pooled.mean.shape == pooled.std.shape == shape:
         raise IntegrityError(f"checkpoint {path} metadata does not match its architecture")
+    if not (np.isfinite([pooled.mean, pooled.std]).all() and (pooled.std >= STD_FLOOR).all()):
+        raise IntegrityError(
+            f"checkpoint {path} holds a non-finite pooled standardizer or a scale below {STD_FLOOR:g}"
+        )
     return model, kept, pooled
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cmapss import MAX_ABS_READING, N_SENSORS
-from .config import _is_int
+from .config import _is_int, _is_number
 from .cva import Standardizer, apply_standardizer
 from .errors import ConfigError, IntegrityError, ShapeError
 from .labeling import trailing_window
@@ -72,10 +72,10 @@ class StreamMonitor:
             if pooled is None:
                 raise ConfigError("a regressor needs the pooled standardizer of its training windows")
             shapes = (np.shape(pooled.mean), np.shape(pooled.std))
-            if shapes != ((self.m,), (self.m,)):
+            if regressor.input_dim != self.m or shapes != ((self.m,), (self.m,)):
                 raise ShapeError(
-                    f"pooled standardizer mean and std of shapes {shapes} do not match "
-                    f"{self.m} kept sensors"
+                    f"regressor input dim {regressor.input_dim} and pooled mean and std of "
+                    f"shapes {shapes} do not match {self.m} kept sensors"
                 )
         self.regressor = regressor
         self.pooled = pooled
@@ -112,7 +112,7 @@ class StreamMonitor:
         if unit not in self.monitors:
             return [self._reject(f"unknown unit {unit}", record)]
         readings = record["sensors"]
-        if not (isinstance(readings, list) and all(map(_is_reading, readings))):
+        if not (isinstance(readings, list) and all(map(_is_number, readings))):
             return [self._reject("sensors must be numbers", record)]
         try:
             sensors = np.asarray(readings, dtype=float)
@@ -195,11 +195,6 @@ class StreamMonitor:
             status_event["rul"] = predict(self.regressor, window, cap=self.rul_cap)
         events.insert(0, status_event)
         return events
-
-
-def _is_reading(value) -> bool:
-    """True for a JSON number; text and bools are not sensor readings."""
-    return isinstance(value, float) or _is_int(value)
 
 
 def run_monitor(monitors_dir, input_lines, out_fh, checkpoint_path=None):

@@ -67,7 +67,7 @@ def test_cva_reconstruction_identity():
     x = rng.normal(size=(4, 250))
     s = fit_standardizer(x)
     lagged = build_lagged_matrices(apply_standardizer(s, x), 2)
-    model = fit_cva(lagged, r=5, standardizer=s)
+    model = fit_cva(lagged, r=5)
     x_new = rng.normal(size=(8, 60))
     z, e = project(model, x_new)
     lhs = model.w @ x_new

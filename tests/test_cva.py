@@ -33,7 +33,7 @@ def standardized_lagged(seed=0, m=4, n=300, p=2, r=3):
     standardizer = fit_standardizer(x)
     xs = apply_standardizer(standardizer, x)
     lagged = build_lagged_matrices(xs, p)
-    return fit_cva(lagged, r, standardizer=standardizer), lagged, xs
+    return fit_cva(lagged, r), lagged, xs
 
 
 class TestLaggedMatrices:
@@ -146,6 +146,17 @@ class TestFitCva:
         assert model.vr.shape == (0, 6, 2)
         assert model.singular_values.shape == (0, 6)
 
+    @pytest.mark.parametrize("shape", [(0, 3, 20), (2, 3, 40)])
+    def test_unstack_gives_one_model_per_matrix(self, shape):
+        x = np.random.default_rng(25).normal(size=shape)
+        model = fit_cva(build_lagged_matrices(x, 2), 2)
+        models = model.unstack()
+        assert len(models) == shape[0]
+        for i, single in enumerate(models):
+            assert (single.p, single.r) == (model.p, model.r)
+            for name in ("w", "vr", "singular_values", "j", "j_res"):
+                np.testing.assert_array_equal(getattr(single, name), getattr(model, name)[i])
+
 
 def autoregressive_case(seed, m, n, held_out=60, p=2):
     """Lag matrices of the first n cycles of m standardized AR(1) channels, and
@@ -224,10 +235,10 @@ class TestWhitening:
             standardizer = fit_standardizer(x[..., :length])
         xs = apply_standardizer(standardizer, x)
         lagged = build_lagged_matrices(xs[..., :length], p)
-        model = fit_cva(lagged, r, standardizer=standardizer)
+        model = fit_cva(lagged, r)
         xp_all = build_past_matrix(xs, p)
         for i in range(n):
-            z, e = project(CvaModel.from_transforms(None, p, model.w[i], model.vr[i], None), xp_all[i])
+            z, e = project(CvaModel.from_transforms(p, model.w[i], model.vr[i], None), xp_all[i])
             single = LaggedMatrices(xp=lagged.xp[i], xf=lagged.xf[i], p=p)
             t2, q = symmetric_reference_statistics(single, r, xp_all[i])
             np.testing.assert_allclose((z * z).sum(axis=0), t2, rtol=1e-8)
@@ -251,7 +262,7 @@ class TestWhitening:
         x = np.vstack([x, x[:1]])  # channel 3 repeats channel 0
         standardizer = fit_standardizer(x)
         lagged = build_lagged_matrices(apply_standardizer(standardizer, x), 2)
-        model = fit_cva(lagged, r=3, standardizer=standardizer)
+        model = fit_cva(lagged, r=3)
         z, e = project(model, lagged.xp)
         assert np.all(np.isfinite(z)) and np.all(np.isfinite(e))
 
@@ -311,7 +322,7 @@ class TestModelProperties:
         buffer.seek(0)
         with np.load(buffer, allow_pickle=False) as stored:
             loaded = CvaModel.from_transforms(
-                model.standardizer, model.p, stored["w"], stored["vr"], stored["singular_values"]
+                model.p, stored["w"], stored["vr"], stored["singular_values"]
             )
         for name in ("w", "vr", "singular_values", "j", "j_res"):
             np.testing.assert_array_equal(getattr(loaded, name), getattr(model, name))

@@ -374,13 +374,13 @@ def test_fleet_fit_equals_fitting_each_engine_alone():
         assert (a.monitor.cl_t2, a.monitor.cl_q, a.monitor.persistence) == (
             b.monitor.cl_t2, b.monitor.cl_q, b.monitor.persistence)
         pairs = [(getattr(a.monitor.cva, n), getattr(b.monitor.cva, n)) for n in MONITOR_ARRAYS]
-        pairs += [(getattr(a.monitor.cva.standardizer, n), getattr(b.monitor.cva.standardizer, n))
+        pairs += [(getattr(a.monitor.standardizer, n), getattr(b.monitor.standardizer, n))
                   for n in ("mean", "std")]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the constant channels
             single = fit_standardizer(series.sensors[: cfg.normal_window].T)
-        pairs += [(single.mean, a.monitor.cva.standardizer.mean),  # a series' own layout sums
-                  (single.std, a.monitor.cva.standardizer.std)]  # in the stack's order
+        pairs += [(single.mean, a.monitor.standardizer.mean),  # a series' own layout sums
+                  (single.std, a.monitor.standardizer.std)]  # in the stack's order
         for x, y in pairs:
             assert x.shape == y.shape and x.tobytes() == y.tobytes(), a.unit_id
     assert Counter(fleet_warnings) == Counter(alone_warnings)

@@ -91,7 +91,7 @@ def test_reading_at_the_bound_in_a_normal_window_round_trips(tmp_path, capsys):
     open(path, "w").write("\n".join(lines))
     cfg = default_config("FD001", data_dir=str(data_dir), out_dir=str(tmp_path / "out"))
     outcomes, _ = run_detect(cfg)
-    assert outcomes[0].monitor.cva.standardizer.std.max() > 1e98
+    assert outcomes[0].monitor.standardizer.std.max() > 1e98
     stream_path = tmp_path / "stream.jsonl"
     stream_path.write_text(json.dumps({"unit": 1, "cycle": 1, "sensors": [1.0] * 21}) + "\n")
     monitors = os.path.join(cfg.out_dir, "monitors")
@@ -145,12 +145,12 @@ class TestDetect:
                 (getattr(got, name), getattr(want, name))
                 for name in ("w", "vr", "singular_values", "j", "j_res")
             ] + [
-                (getattr(got.standardizer, name), getattr(want.standardizer, name))
+                (getattr(loaded.standardizer, name), getattr(monitor.standardizer, name))
                 for name in ("mean", "std")
             ]
             for got, want in arrays:
                 assert got.dtype == want.dtype and np.array_equal(got, want)
-            assert [f.name for f in fields(loaded)] == ["cva", "cl_t2", "cl_q", "persistence"]
+            assert [f.name for f in fields(loaded)] == ["standardizer", "cva", "cl_t2", "cl_q", "persistence"]
             for name in ("cl_t2", "cl_q", "persistence"):
                 got, want = getattr(loaded, name), getattr(monitor, name)
                 assert type(got) is type(want) and got == want
@@ -343,6 +343,25 @@ class TestEvaluate:
             run_evaluate(cfg, checkpoint_path=str(path), write=False)
         argv = ["evaluate", "--data-dir", cfg.data_dir, "--out-dir", str(tmp_path)]
         assert main(argv + ["--checkpoint", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "key, first",
+        [("pooled_std", float("nan")), ("pooled_std", 0.0), ("pooled_std", float("inf")),
+         ("pooled_mean", float("nan")), ("pooled_mean", float("-inf"))],
+        ids=["std_nan", "std_zero", "std_inf", "mean_nan", "mean_inf"],
+    )
+    def test_unusable_pooled_standardizer_rejected(self, trained_run, tmp_path, capsys, key, first):
+        from changepoint_rul.errors import IntegrityError
+        from changepoint_rul.lstm import save_checkpoint
+
+        cfg, model, _, meta = trained_run
+        path = tmp_path / "bad.npz"
+        save_checkpoint(model, path, meta=dict(meta, **{key: [first] + list(meta[key][1:])}))
+        with pytest.raises(IntegrityError, match="non-finite pooled standardizer or a scale below"):
+            read_checkpoint(path)
+        argv = ["evaluate", "--data-dir", cfg.data_dir, "--out-dir", str(tmp_path)]
+        assert main(argv + ["--checkpoint", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "kept,bad",

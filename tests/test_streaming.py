@@ -7,7 +7,7 @@ import pytest
 from changepoint_rul.config import PipelineConfig
 from changepoint_rul.cva import CvaModel, Standardizer
 from changepoint_rul.errors import ConfigError, ShapeError
-from changepoint_rul.lstm import LstmLayer, LstmRegressor
+from changepoint_rul.lstm import LstmLayer, LstmRegressor, init_regressor
 from changepoint_rul.monitoring import MonitorModel
 from changepoint_rul.streaming import StreamMonitor
 
@@ -17,7 +17,6 @@ from synthetic import make_engine_series
 def scalar_monitor(cl_t2=4.0, cl_q=1e9, persistence=3):
     """Identity single-channel monitor: t2 at cycle k equals x_{k-1}^2."""
     cva = CvaModel(
-        standardizer=Standardizer(mean=np.zeros(1), std=np.ones(1)),
         p=1,
         r=1,
         w=np.eye(1),
@@ -26,7 +25,8 @@ def scalar_monitor(cl_t2=4.0, cl_q=1e9, persistence=3):
         j=np.eye(1),
         j_res=np.zeros((1, 1)),
     )
-    return MonitorModel(cva=cva, cl_t2=cl_t2, cl_q=cl_q, persistence=persistence)
+    standardizer = Standardizer(mean=np.zeros(1), std=np.ones(1))
+    return MonitorModel(standardizer, cva, cl_t2=cl_t2, cl_q=cl_q, persistence=persistence)
 
 
 def one_unit_regressor(dtype=np.float64):
@@ -231,13 +231,22 @@ class TestRecordValidation:
                 pooled=pooled,
             )
 
+    def test_regressor_of_wrong_input_dim_refused(self):
+        # a two-input regressor over one kept sensor would fail at its first degrading cycle
+        pooled = Standardizer(mean=np.zeros(1), std=np.ones(1))
+        with pytest.raises(ShapeError, match="input dim 2"):
+            StreamMonitor(
+                {1: scalar_monitor(persistence=0)},
+                kept_indices=[1],
+                regressor=init_regressor(2, (3,), (), sequence_length=3),
+                pooled=pooled,
+            )
+
     def test_overflowing_statistics_rejected(self):
         """A finite but huge whitening transform sends t2 to inf; that record
         gets a rejected event, later cycles still stream, and every event
         stays strict JSON."""
-        cva = CvaModel.from_transforms(
-            Standardizer(mean=np.zeros(1), std=np.ones(1)), 1, np.full((1, 1), 1e200), np.eye(1), np.ones(1)
-        )
+        cva = CvaModel.from_transforms(1, np.full((1, 1), 1e200), np.eye(1), np.ones(1))
         monitor = replace(scalar_monitor(), cva=cva)
         with pytest.warns(RuntimeWarning, match="overflow"):
             events = stream_values(monitor, [0.0, 1.0, 0.0, 0.0])
